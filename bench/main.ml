@@ -15,7 +15,6 @@
    Only the experiments:  dune exec bench/main.exe -- --repro-only
    Only profile bench:    dune exec bench/main.exe -- --profile-only
    Parallelism:           dune exec bench/main.exe -- --jobs 8
-   Back end:              dune exec bench/main.exe -- --interp-backend tree
    Observability:         dune exec bench/main.exe -- --trace
                           dune exec bench/main.exe -- --metrics-out FILE
    Fault policy:          dune exec bench/main.exe -- --strict
@@ -960,21 +959,6 @@ let () =
     in
     find args
   in
-  (match
-     let rec find = function
-       | "--interp-backend" :: b :: _ -> Some b
-       | _ :: rest -> find rest
-       | [] -> None
-     in
-     find args
-   with
-  | None -> ()
-  | Some b -> (
-    match Pipeline.backend_of_string b with
-    | Some backend -> Pipeline.default_backend := backend
-    | None ->
-      Printf.eprintf "bench: --interp-backend expects tree or compiled, got %S\n" b;
-      exit 2));
   let profile_json =
     let rec find = function
       | "--profile-json" :: f :: _ -> f

@@ -67,7 +67,7 @@ let metrics_arg =
 (* Fault policy for the suite-driving commands: [--strict] fails fast
    with the original backtrace, [--chaos SEED] arms every registered
    injection point with the deterministic seeded hash. Applied as a
-   setup term, like [backend_arg]. *)
+   setup term. *)
 let fault_arg =
   let set strict chaos =
     if strict then Driver.Fault.set_strict true;
@@ -100,24 +100,8 @@ let finish_with_fault_status () =
   let code = Driver.Fault.exit_code () in
   if code <> 0 then exit code
 
-let backend_arg =
-  let set b = Pipeline.default_backend := b in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt
-            (enum
-               [ ("tree", Pipeline.Tree); ("compiled", Pipeline.Compiled) ])
-            Pipeline.Compiled
-        & info [ "interp-backend" ] ~docv:"BACKEND"
-            ~doc:"Profiling interpreter back end: $(b,compiled) (closure\
-                  -compiled, default) or $(b,tree) (reference AST walker). \
-                  The two produce bit-identical profiles; only speed \
-                  differs."))
-
 (* Markov linear-system solver selection, applied as a setup term like
-   [backend_arg]. Dense is the default: its results are bit-identical
+   [fault_arg]. Dense is the default: its results are bit-identical
    to the committed BASELINE.json; the sparse path agrees only to the
    iterative convergence tolerance (gate with [diff --solver-band]). *)
 let solver_arg =
@@ -141,23 +125,6 @@ let solver_arg =
 
 let solver_mode_string () =
   Linalg.Linsolve.mode_to_string !Linalg.Linsolve.solver_mode
-
-(* Route every intra estimate through the content-addressed incremental
-   store (Driver.Incr). Scores are bit-identical with the flag on or
-   off — the store keys by function content, solver mode and config
-   fingerprint — which CI proves by diffing a --incr-cache record
-   against the committed baseline. *)
-let incr_arg =
-  let set enabled = if enabled then Driver.Incr.install () in
-  Term.(
-    const set
-    $ Arg.(
-        value & flag
-        & info [ "incr-cache" ]
-            ~doc:"Serve per-function intra estimates from the \
-                  content-addressed incremental store (the cache behind \
-                  $(b,serve)). Results are bit-identical either way; \
-                  repeated sweeps get cheaper."))
 
 let mode_arg =
   Arg.(value & opt (enum [ ("loop", Pipeline.Iloop); ("smart", Pipeline.Ismart);
@@ -297,7 +264,7 @@ let cmd_callsites =
 (* ---- run ---- *)
 
 let cmd_run =
-  let run () path args stdin_file show_profile save_profile =
+  let run path args stdin_file show_profile save_profile =
     let c = load path in
     let input =
       match stdin_file with None -> "" | Some f -> read_file f
@@ -339,7 +306,7 @@ let cmd_run =
            ~docv:"FILE" ~doc:"Write the execution profile to FILE.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Interpret a C program")
-    Term.(const run $ backend_arg $ file_arg $ args $ stdin_file
+    Term.(const run $ file_arg $ args $ stdin_file
           $ show_profile $ save_profile)
 
 (* ---- score: compare a static estimate against a saved profile ---- *)
@@ -438,7 +405,7 @@ let cmd_annotate =
 (* ---- experiment ---- *)
 
 let cmd_experiment =
-  let run jobs () () () () trace metrics_out id =
+  let run jobs () () trace metrics_out id =
     Driver.Parallel.set_jobs jobs;
     Driver.Trace.with_reporting ~trace ~metrics_out (fun () ->
         match id with
@@ -460,13 +427,13 @@ let cmd_experiment =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures")
-    Term.(const run $ jobs_arg $ backend_arg $ fault_arg $ solver_arg
-          $ incr_arg $ trace_arg $ metrics_arg $ id)
+    Term.(const run $ jobs_arg $ fault_arg $ solver_arg $ trace_arg
+          $ metrics_arg $ id)
 
 (* ---- record: run the suite, persist the typed score records ---- *)
 
 let cmd_record =
-  let run jobs () () () () out =
+  let run jobs () () out =
     Driver.Parallel.set_jobs jobs;
     Driver.Score.reset ();
     Driver.Trace.enable ();
@@ -480,10 +447,6 @@ let cmd_record =
          match Obs.Inject.chaos_seed () with
          | Some s -> string_of_int s
          | None -> "none");
-        ("backend",
-         match !Pipeline.default_backend with
-         | Pipeline.Tree -> "tree"
-         | Pipeline.Compiled -> "compiled");
         ("solver", solver_mode_string ()) ]
     in
     let record = Driver.Run_record.collect ~meta () in
@@ -502,13 +465,12 @@ let cmd_record =
     (Cmd.info "record"
        ~doc:"Run the full experiment suite and write a typed run record \
              (scores, environment, faults, timings) as JSON")
-    Term.(const run $ jobs_arg $ backend_arg $ fault_arg $ solver_arg
-          $ incr_arg $ out)
+    Term.(const run $ jobs_arg $ fault_arg $ solver_arg $ out)
 
 (* ---- corpus: seeded shaped-program generation + estimator sweep ---- *)
 
 let cmd_corpus =
-  let run jobs () () () seed per_class size classes_opt out =
+  let run jobs () () seed per_class size classes_opt out =
     Driver.Parallel.set_jobs jobs;
     Driver.Score.reset ();
     let classes =
@@ -541,10 +503,6 @@ let cmd_corpus =
          match Obs.Inject.chaos_seed () with
          | Some s -> string_of_int s
          | None -> "none");
-        ("backend",
-         match !Pipeline.default_backend with
-         | Pipeline.Tree -> "tree"
-         | Pipeline.Compiled -> "compiled");
         ("solver", solver_mode_string ()) ]
     in
     let record =
@@ -592,7 +550,7 @@ let cmd_corpus =
        ~doc:"Generate a seeded shaped-program corpus, run every estimator \
              over it, and write per-class score distributions \
              (mean/median/p10/p90) as a typed run record")
-    Term.(const run $ jobs_arg $ backend_arg $ fault_arg $ solver_arg $ seed
+    Term.(const run $ jobs_arg $ fault_arg $ solver_arg $ seed
           $ per_class $ size $ classes $ out)
 
 (* ---- diff: gate a run record against the committed baseline ---- *)
@@ -662,7 +620,7 @@ let cmd_diff =
 (* ---- serve: the warm estimator daemon ---- *)
 
 let cmd_serve =
-  let run jobs () () () budget_mb store socket workers deadline_ms
+  let run jobs () () budget_mb store socket workers deadline_ms
       queue_limit connect slow_ms slow_log =
     match connect with
     | Some path -> Driver.Serve.client ~socket:path
@@ -754,7 +712,7 @@ let cmd_serve =
              requests in a batch run in parallel, in-process or across \
              a supervised $(b,--workers) pool; a failing request \
              degrades its own response, never the daemon.")
-    Term.(const run $ jobs_arg $ backend_arg $ solver_arg $ fault_arg
+    Term.(const run $ jobs_arg $ solver_arg $ fault_arg
           $ budget_mb $ store $ socket $ workers $ deadline_ms
           $ queue_limit $ connect $ slow_ms $ slow_log)
 
@@ -813,7 +771,7 @@ let cmd_suite =
    entry point), and [--chaos SEED] runs it under fault injection;
    bare invocation still shows the usage page. *)
 let default_term =
-  let run jobs () () () trace metrics_out =
+  let run jobs () () trace metrics_out =
     if trace || metrics_out <> None || Obs.Inject.chaos_seed () <> None
     then begin
       Driver.Parallel.set_jobs jobs;
@@ -824,8 +782,8 @@ let default_term =
     end
     else `Help (`Pager, None)
   in
-  Term.(ret (const run $ jobs_arg $ backend_arg $ fault_arg $ solver_arg
-             $ trace_arg $ metrics_arg))
+  Term.(ret (const run $ jobs_arg $ fault_arg $ solver_arg $ trace_arg
+             $ metrics_arg))
 
 let main =
   Cmd.group ~default:default_term

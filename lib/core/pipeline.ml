@@ -27,21 +27,14 @@ module Eval = Cinterp.Eval
 module Compile = Cinterp.Compile
 module Profile = Cinterp.Profile
 
-(* Interpreter back end used for profiling. [Tree] is the reference
-   AST-walking [Eval]; [Compiled] is the closure-compiled [Compile] back
-   end. Both produce bit-identical outcomes (test/test_compile.ml), so
-   the selector only affects speed. *)
+(* Interpreter back end used for profiling. [Compiled] is the
+   closure-compiled [Compile] back end every driver path profiles with;
+   [Tree] is the reference AST-walking [Eval] that tests and the
+   profile benchmark select explicitly. Both produce bit-identical
+   outcomes (test/test_compile.ml). *)
 type backend = Tree | Compiled
 
 let backend_to_string = function Tree -> "tree" | Compiled -> "compiled"
-
-let backend_of_string = function
-  | "tree" -> Some Tree
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-(* Process-wide default, set once from the CLI before any parallelism. *)
-let default_backend = ref Compiled
 
 type compiled = {
   name : string;
@@ -136,12 +129,10 @@ let fn_hash (c : compiled) (fn : Cfg.fn) : string =
 (* One profiling run: command-line arguments and stdin contents. *)
 type run = { argv : string list; input : string }
 
-let run_once ?fuel ?deadline_s ?backend (c : compiled) (r : run) :
-    Eval.outcome =
+let run_once ?fuel ?deadline_s ?(backend = Compiled) (c : compiled)
+    (r : run) : Eval.outcome =
   Obs.Probe.with_span "profile" (fun () ->
-      match
-        (match backend with Some b -> b | None -> !default_backend)
-      with
+      match backend with
       | Tree ->
         Obs.Probe.count "interp.dispatch.tree";
         Eval.run ?fuel ?deadline_s ~argv:r.argv ~input:r.input c.prog
@@ -201,36 +192,22 @@ let intra_freqs_fn (c : compiled) (kind : intra_kind) (fn : Cfg.fn) :
     Markov_intra.block_freqs_combined ~usage:(usage_of c fn)
       ~inject_key:c.name ~fallback:loop_fallback c.tc fn
 
-(* Per-function caching hook. [Driver.Incr.install] replaces the
-   pass-through so every intra sweep in the process — suite runs,
-   experiments, the serve daemon — is served from the content-addressed
-   store. Core cannot depend on Driver, hence the injection point. The
-   hook must either return [compute ()] or a bit-identical previous
-   return of an equivalent computation; [Incr] keys entries by function
-   content hash, solver mode and the [Config] fingerprint to guarantee
-   that. *)
-let intra_cache_hook :
-    (compiled -> intra_kind -> Cfg.fn -> (unit -> float array) -> float array)
-    ref =
-  ref (fun _ _ _ compute -> compute ())
-
-let intra_table (c : compiled) (kind : intra_kind) :
-    (string, float array) Hashtbl.t =
+(* One sweep of [solve] (by default the uncached [intra_freqs_fn]) over
+   every defined function. [Driver.Incr.intra_provider] passes its
+   store lookup as [solve]; Core cannot depend on Driver. *)
+let intra_table ?(solve = intra_freqs_fn) (c : compiled) (kind : intra_kind)
+    : (string, float array) Hashtbl.t =
   Obs.Probe.with_span ("intra." ^ intra_kind_to_string kind) (fun () ->
   Obs.Inject.fire "estimate" ~key:c.name;
   let table = Hashtbl.create 32 in
   List.iter
-    (fun fn ->
-      let freqs =
-        !intra_cache_hook c kind fn (fun () -> intra_freqs_fn c kind fn)
-      in
-      Hashtbl.replace table fn.Cfg.fn_name freqs)
+    (fun fn -> Hashtbl.replace table fn.Cfg.fn_name (solve c kind fn))
     c.prog.Cfg.prog_fns;
   table)
 
-let intra_provider (c : compiled) (kind : intra_kind) :
+let intra_provider ?solve (c : compiled) (kind : intra_kind) :
     string -> float array =
-  let table = intra_table c kind in
+  let table = intra_table ?solve c kind in
   fun name -> Hashtbl.find table name
 
 (* Block counts of a profile as an intra "estimate" (for scoring the

@@ -24,18 +24,14 @@ module Eval = Cinterp.Eval
 module Compile = Cinterp.Compile
 module Profile = Cinterp.Profile
 
-(** Interpreter back end used for profiling: the reference AST-walking
-    {!Eval} or the closure-compiled {!Compile}. The two are proven to
-    produce bit-identical outcomes (profiles, stdout, exit codes), so
-    the selector only affects speed. *)
+(** Interpreter back end used for profiling: the closure-compiled
+    {!Compile} (every driver path) or the reference AST-walking {!Eval}
+    (selected explicitly by tests and the profile benchmark). The two
+    are proven to produce bit-identical outcomes (profiles, stdout, exit
+    codes). *)
 type backend = Tree | Compiled
 
 val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
-
-(** Process-wide default back end ([Compiled] unless overridden with
-    [--interp-backend]). Set it before spawning parallel work. *)
-val default_backend : backend ref
 
 (** A compiled program: typed AST, CFGs, call graph, plus lazily built
     shared state (closure-compiled executable, per-function usage memo).
@@ -82,7 +78,7 @@ val fn_hash : compiled -> Cfg.fn -> string
 type run = { argv : string list; input : string }
 
 (** Interpret the program once, collecting a profile. [backend] defaults
-    to {!default_backend}. [deadline_s] bounds the run's wall-clock time;
+    to [Compiled]. [deadline_s] bounds the run's wall-clock time;
     exceeding it (or [fuel]) raises {!Eval.Budget_exhausted} carrying
     the partial outcome — a runaway run yields a partial profile, never
     a hang. *)
@@ -119,25 +115,27 @@ val intra_kind_of_string : string -> intra_kind option
 val all_intra_kinds : intra_kind list
 
 (** The block-frequency estimate of a single function — the unit of
-    work the incremental store caches. {!intra_table} is one call per
-    defined function, routed through {!intra_cache_hook}. *)
+    work the incremental store caches. *)
 val intra_freqs_fn : compiled -> intra_kind -> Cfg.fn -> float array
 
-(** Per-function caching hook, a pass-through by default.
-    [Driver.Incr.install] replaces it so every intra sweep in the
-    process is served from the content-addressed store (Core cannot
-    depend on Driver, hence the injection point). A replacement must
-    return either [compute ()] or a bit-identical earlier return of an
-    equivalent computation. *)
-val intra_cache_hook :
-  (compiled -> intra_kind -> Cfg.fn -> (unit -> float array) -> float array)
-  ref
+(** Per-function block-frequency arrays for every defined function: one
+    [solve] call per function ({!intra_freqs_fn} unless given). A
+    [solve] must return what {!intra_freqs_fn} would, bit for bit;
+    [Driver.Incr.intra_provider] passes its store lookup. *)
+val intra_table :
+  ?solve:(compiled -> intra_kind -> Cfg.fn -> float array) ->
+  compiled ->
+  intra_kind ->
+  (string, float array) Hashtbl.t
 
-(** Per-function block-frequency arrays for every defined function. *)
-val intra_table : compiled -> intra_kind -> (string, float array) Hashtbl.t
-
-(** As {!intra_table}, memoized behind a lookup function. *)
-val intra_provider : compiled -> intra_kind -> string -> float array
+(** As {!intra_table}, memoized behind a lookup function. Uncached by
+    default: the reference that tests and examples use. *)
+val intra_provider :
+  ?solve:(compiled -> intra_kind -> Cfg.fn -> float array) ->
+  compiled ->
+  intra_kind ->
+  string ->
+  float array
 
 (** A profile's block counts viewed as an intra estimate (the metric's
     profiling column). *)

@@ -19,13 +19,18 @@
    scratch instead of hitting a stale failure.
 
    Concurrency: the table is a mutex-protected memo with in-flight
-   markers. A loader that finds no entry claims the key, computes
-   outside the lock, publishes, and broadcasts; concurrent loaders of
-   the same key block on the condition instead of duplicating the
-   compile. [warm] fans the per-program pipeline stages (compile, then
-   every profiling run) across the [Parallel] pool and merges in
-   registry order, which is what makes [all] deterministic regardless
-   of the jobs setting. *)
+   markers. An entry is computed one way: [fill] claims the missing
+   keys, fans the per-program pipeline stages (compile, then every
+   profiling run) across the [Parallel] pool outside the lock, publishes
+   in input order, and broadcasts; concurrent loaders of a claimed key
+   block on the condition instead of duplicating the compile. [warm]
+   fills the whole registry, a [load] miss fills its one program; the
+   input-order merge is what makes [all] deterministic regardless of
+   the jobs setting.
+
+   The stages themselves ([compile_stage], [profile_stage]) are the
+   driver's only compile and profile code: [Corpus_eval] and
+   [Incr.analyze] call them too. *)
 
 module Pipeline = Core.Pipeline
 module Profile = Cinterp.Profile
@@ -102,9 +107,11 @@ let abandon k =
   Mutex.unlock m
 
 (* ------------------------------------------------------------------ *)
-(* The per-program pipeline stages. *)
+(* The per-program pipeline stages. Every driver path runs these: the
+   suite through the memo below, the corpus ([Corpus_eval]) once per
+   generated program, and the profile leg of [Incr.analyze]. *)
 
-let drop_recovery = "program dropped from suite (degraded row)"
+let drop_recovery = "program dropped (degraded row)"
 
 let compile_stage (bench : Suite.Bench_prog.t) : Pipeline.compiled =
   let name = bench.Suite.Bench_prog.name in
@@ -113,37 +120,35 @@ let compile_stage (bench : Suite.Bench_prog.t) : Pipeline.compiled =
   (* Lower to closures as part of the (parallel) compile stage, so the
      one-time cost is off the profiling path and spread across the
      domain pool during warm-up. *)
-  if !Pipeline.default_backend = Pipeline.Compiled then
-    ignore (Pipeline.closure_exe c);
+  ignore (Pipeline.closure_exe c);
   c
 
-let compile_entry (bench : Suite.Bench_prog.t) :
-    (Pipeline.compiled, Fault.t) result =
-  Fault.capture ~stage:Fault.Compile
-    ~subject:bench.Suite.Bench_prog.name ~recovery:drop_recovery (fun () ->
-      compile_stage bench)
+let pipeline_run (r : Suite.Bench_prog.run) : Pipeline.run =
+  { Pipeline.argv = r.Suite.Bench_prog.r_argv;
+    input = r.Suite.Bench_prog.r_input }
 
-(* One (program, run) interpretation. Exhausting the fuel or wall-clock
-   budget is a *recoverable* fault: the partial profile is kept (both
-   back ends decrement fuel identically, so partial profiles stay
-   bit-identical across back ends) and the program stays healthy. *)
-let profile_stage (compiled : Pipeline.compiled) (run_index : int)
-    (r : Suite.Bench_prog.run) : Profile.t =
+(* One (program, run) interpretation under [fuel] (the interpreter's
+   default unless given) and [deadline_s]. Exhausting either budget is a *recoverable*
+   fault: the partial profile is kept (both back ends decrement fuel
+   identically, so partial profiles stay bit-identical across back
+   ends), the recovery goes on the record, and the second component
+   says the budget ran out. [on_stop] sees the stop first and may raise
+   to refuse the partial profile instead. *)
+let profile_stage ?fuel ?(deadline_s = run_deadline_s) ?(on_stop = ignore)
+    (compiled : Pipeline.compiled) (run_index : int) (run : Pipeline.run) :
+    Profile.t * bool =
   let name = compiled.Pipeline.name in
   Obs.Inject.fire "profile" ~key:name;
   let fuel =
     if Obs.Inject.should_fire "profile.fuel" ~key:name then
       Some injected_fuel
-    else None
+    else fuel
   in
-  let run =
-    { Pipeline.argv = r.Suite.Bench_prog.r_argv;
-      input = r.Suite.Bench_prog.r_input }
-  in
-  match Pipeline.run_once ?fuel ~deadline_s:run_deadline_s compiled run with
-  | o -> o.Eval.profile
+  match Pipeline.run_once ?fuel ~deadline_s compiled run with
+  | o -> (o.Eval.profile, false)
   | exception Eval.Budget_exhausted (stop, outcome) ->
-    Obs.Probe.count "context.partial_profile";
+    on_stop stop;
+    Obs.Probe.count "profile.partial";
     Fault.record
       { Fault.f_stage = Fault.Profile; f_subject = name;
         f_detail =
@@ -151,61 +156,18 @@ let profile_stage (compiled : Pipeline.compiled) (run_index : int)
             (Eval.budget_stop_to_string stop);
         f_exn = ""; f_backtrace = "";
         f_recovery = "kept partial profile" };
-    outcome.Eval.profile
-
-let profiles_entry (bench : Suite.Bench_prog.t)
-    (compiled : Pipeline.compiled) : (Profile.t list, Fault.t) result =
-  Fault.capture ~stage:Fault.Profile
-    ~subject:bench.Suite.Bench_prog.name ~recovery:drop_recovery (fun () ->
-      List.mapi
-        (fun i r -> profile_stage compiled i r)
-        bench.Suite.Bench_prog.runs)
-
-let compute (bench : Suite.Bench_prog.t) : entry =
-  match compile_entry bench with
-  | Error f -> Error f
-  | Ok compiled -> (
-    match profiles_entry bench compiled with
-    | Error f -> Error f
-    | Ok profiles -> Ok { bench; compiled; profiles })
-
-let load (bench : Suite.Bench_prog.t) : entry =
-  let k = key bench in
-  Mutex.lock m;
-  let rec get () =
-    match Hashtbl.find_opt cache k with
-    | Some (Done e) ->
-      Mutex.unlock m;
-      Obs.Probe.count "context.cache_hit";
-      e
-    | Some Computing ->
-      Obs.Probe.count "context.cache_wait";
-      Condition.wait cell_changed m;
-      get ()
-    | None ->
-      Hashtbl.replace cache k Computing;
-      Mutex.unlock m;
-      Obs.Probe.count "context.cache_miss";
-      (match compute bench with
-      | e -> publish k e; e
-      | exception e ->
-        (* strict mode (or a bug below the captures): leave the key
-           retryable, never poisoned *)
-        let bt = Printexc.get_raw_backtrace () in
-        abandon k;
-        Printexc.raise_with_backtrace e bt)
-  in
-  get ()
+    (outcome.Eval.profile, true)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel warm-up: claim every missing program, fan the compile stage
-   out per program, then the profile stage per (program, run) pair, and
-   publish assembled results. Pure fan-out/merge: stage outputs are
-   indexed by input position, never by completion order. Worker-level
-   task deaths (the ["worker"] injection point, or anything thrown
-   outside the stage captures) degrade the one program they belong to;
-   in strict mode [Fault.absorb] re-raises instead and every claimed key
-   is abandoned. *)
+(* Filling the memo: claim every program of [benches] with no cell yet,
+   fan the compile stage out per program, then the profile stage per
+   (program, run) pair, and publish assembled results. Pure fan-out/
+   merge: stage outputs are indexed by input position, never by
+   completion order. Worker-level task deaths (the ["worker"] injection
+   point, or anything thrown outside the stage captures) degrade the one
+   program they belong to; in strict mode [Fault.absorb] re-raises
+   instead and every claimed key is abandoned. [warm] runs it over the
+   whole registry, a [load] miss over the one program. *)
 
 let absorb_slot ~(subject : string) ?detail
     (slot : (('a, Fault.t) result, exn * Printexc.raw_backtrace) result) :
@@ -217,8 +179,7 @@ let absorb_slot ~(subject : string) ?detail
       (Fault.absorb ~stage:Fault.Worker ~subject ?detail
          ~recovery:drop_recovery e bt)
 
-let warm () : unit =
-  Obs.Probe.with_span "context.warm" @@ fun () ->
+let fill (benches : Suite.Bench_prog.t list) : unit =
   Mutex.lock m;
   let missing =
     List.filter
@@ -230,7 +191,7 @@ let warm () : unit =
           Hashtbl.replace cache k Computing;
           Obs.Probe.count "context.cache_miss";
           true)
-      Suite.Registry.all
+      benches
   in
   Mutex.unlock m;
   if missing <> [] then begin
@@ -240,7 +201,12 @@ let warm () : unit =
           (fun (b : Suite.Bench_prog.t) slot ->
             absorb_slot ~subject:b.Suite.Bench_prog.name slot)
           missing
-          (Parallel.map_results compile_entry missing)
+          (Parallel.map_results
+             (fun (b : Suite.Bench_prog.t) ->
+               Fault.capture ~stage:Fault.Compile
+                 ~subject:b.Suite.Bench_prog.name ~recovery:drop_recovery
+                 (fun () -> compile_stage b))
+             missing)
       in
       (* Fan the profile stage out per (program, run) pair of the
          healthy compiles. *)
@@ -265,7 +231,8 @@ let warm () : unit =
                Fault.capture ~stage:Fault.Profile
                  ~subject:b.Suite.Bench_prog.name
                  ~detail:(Printf.sprintf "run %d" i)
-                 ~recovery:drop_recovery (fun () -> profile_stage c i r))
+                 ~recovery:drop_recovery (fun () ->
+                   fst (profile_stage c i (pipeline_run r))))
              flat_runs)
       in
       (* Reassemble the flat profile list program by program, in run
@@ -276,7 +243,7 @@ let warm () : unit =
         | p :: rest ->
           let taken, rest = split (n - 1) rest in
           (p :: taken, rest)
-        | [] -> invalid_arg "Context.warm: profile count mismatch"
+        | [] -> invalid_arg "Context.fill: profile count mismatch"
       in
       let leftover =
         List.fold_left2
@@ -316,6 +283,33 @@ let warm () : unit =
       List.iter (fun b -> abandon (key b)) missing;
       Printexc.raise_with_backtrace e bt
   end
+
+let warm () : unit =
+  Obs.Probe.with_span "context.warm" (fun () -> fill Suite.Registry.all)
+
+(* A loader that finds no cell fills it (claiming it first, so
+   concurrent loaders of the same key block on the in-flight marker
+   instead of duplicating the compile) and looks again. *)
+let load (bench : Suite.Bench_prog.t) : entry =
+  let k = key bench in
+  let rec get () =
+    Mutex.lock m;
+    match Hashtbl.find_opt cache k with
+    | Some (Done e) ->
+      Mutex.unlock m;
+      Obs.Probe.count "context.cache_hit";
+      e
+    | Some Computing ->
+      Obs.Probe.count "context.cache_wait";
+      Condition.wait cell_changed m;
+      Mutex.unlock m;
+      get ()
+    | None ->
+      Mutex.unlock m;
+      fill [ bench ];
+      get ()
+  in
+  get ()
 
 let all_entries () : (Suite.Bench_prog.t * entry) list =
   warm ();

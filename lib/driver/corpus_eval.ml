@@ -1,7 +1,9 @@
 (* Corpus evaluation: N seeded shaped programs per workload class, each
-   run through compile → profile (compiled backend, fuel-budgeted) →
-   every estimator, with weight-matching scores aggregated into
-   per-class/per-estimator distributions (mean/median/p10/p90).
+   run through the suite's own stages — [Context]'s compile and
+   (fuel-budgeted) profile stages, uncached, then [Experiments]' intra
+   and inter scorers — with weight-matching scores aggregated into
+   per-class/per-estimator distributions (mean/median/p10/p90). This
+   module only generates, aggregates and renders.
 
    Every distribution cell is emitted as a typed [Score] record
    (experiment "corpus", program = the class name, estimator =
@@ -18,17 +20,14 @@
    jobs setting.  Deliberately *not* in the record's meta: the jobs
    count.
 
-   Fault tolerance mirrors [Context]: a degenerate generated program
-   degrades its own row (compile/profile stage captures, the PR-4
-   taxonomy) instead of killing the run, and a run that exhausts its
-   fuel budget keeps the partial profile, is counted as divergent, and
-   leaves a Profile-stage fault on the record. *)
+   Fault tolerance is [Context]'s: a degenerate generated program
+   degrades its own row (compile/profile/estimate stage captures)
+   instead of killing the run, and a run that exhausts its fuel budget
+   keeps the partial profile, is counted as divergent, and leaves a
+   Profile-stage fault on the record. *)
 
 module Pipeline = Core.Pipeline
-module Profile = Cinterp.Profile
-module Eval = Cinterp.Eval
 module Inter_simple = Core.Inter_simple
-module Weight_matching = Core.Weight_matching
 module Shape = Corpus.Shape
 module Genprog = Corpus.Genprog
 
@@ -77,10 +76,7 @@ let estimator_labels : string list =
   @ List.map (fun k -> "inter." ^ Pipeline.inter_kind_to_string k) inter_kinds
 
 (* ------------------------------------------------------------------ *)
-(* Per-program pipeline stages — the [Context] stage structure, minus
-   the memo table (corpus programs are evaluated exactly once). *)
-
-let drop_recovery = "program dropped from corpus (degraded row)"
+(* One generated program through the suite's stages. *)
 
 (* estimator label, metric, cutoff, score *)
 type cell = string * Score.metric * float * float
@@ -104,101 +100,48 @@ let bench_of (spec : spec) (cls : Shape.workload_class) (index : int) :
          (fun (argv, input) -> Suite.Bench_prog.run ~argv ~input ())
          Genprog.runs)
 
-let compile_stage (bench : Suite.Bench_prog.t) : Pipeline.compiled =
-  let name = bench.Suite.Bench_prog.name in
-  Obs.Inject.fire "compile" ~key:name;
-  let c = Pipeline.compile ~name bench.Suite.Bench_prog.source in
-  if !Pipeline.default_backend = Pipeline.Compiled then
-    ignore (Pipeline.closure_exe c);
-  c
-
-(* One profiling run.  Returns the (possibly partial) profile and
-   whether the budget ran out — the divergence marker the attempt log
-   tracks per class. *)
-let profile_stage (compiled : Pipeline.compiled) (run_index : int)
-    (r : Suite.Bench_prog.run) : Profile.t * bool =
-  let name = compiled.Pipeline.name in
-  Obs.Inject.fire "profile" ~key:name;
-  let fuel =
-    if Obs.Inject.should_fire "profile.fuel" ~key:name then 10
-    else corpus_fuel
-  in
-  let run =
-    { Pipeline.argv = r.Suite.Bench_prog.r_argv;
-      input = r.Suite.Bench_prog.r_input }
-  in
-  match Pipeline.run_once ~fuel ~deadline_s:300.0 compiled run with
-  | o -> (o.Eval.profile, false)
-  | exception Eval.Budget_exhausted (stop, outcome) ->
-    Obs.Probe.count "corpus.partial_profile";
-    Fault.record
-      { Fault.f_stage = Fault.Profile; f_subject = name;
-        f_detail =
-          Printf.sprintf "run %d: %s budget exhausted" run_index
-            (Eval.budget_stop_to_string stop);
-        f_exn = ""; f_backtrace = "";
-        f_recovery = "kept partial profile" };
-    (outcome.Eval.profile, true)
-
-let estimate_stage (compiled : Pipeline.compiled)
-    (profiles : Profile.t list) : cell list =
-  let intra_cells =
-    List.map
+let score_cells (d : Context.prog_data) : cell list =
+  List.map
+    (fun kind ->
+      ( "intra." ^ Pipeline.intra_kind_to_string kind, Score.Wm_intra,
+        intra_cutoff,
+        Experiments.intra_static_score d ~cutoff:intra_cutoff kind ))
+    intra_kinds
+  @ List.map
       (fun kind ->
-        let estimate = Pipeline.intra_provider compiled kind in
-        let v =
-          Pipeline.mean_over_profiles profiles (fun p ->
-              Pipeline.intra_score compiled ~estimate p ~cutoff:intra_cutoff)
-        in
-        ( "intra." ^ Pipeline.intra_kind_to_string kind, Score.Wm_intra,
-          intra_cutoff, v ))
-      intra_kinds
-  in
-  (* as in the paper, every inter estimator builds on the smart intra *)
-  let smart = Pipeline.intra_provider compiled Pipeline.Ismart in
-  let inter_cells =
-    List.map
-      (fun kind ->
-        let estimate = Pipeline.inter_estimate compiled ~intra:smart kind in
-        let v =
-          Pipeline.mean_over_profiles profiles (fun p ->
-              Weight_matching.score ~estimate
-                ~actual:(Pipeline.inter_actual compiled p)
-                ~cutoff:inter_cutoff)
-        in
         ( "inter." ^ Pipeline.inter_kind_to_string kind, Score.Wm_inter,
-          inter_cutoff, v ))
+          inter_cutoff,
+          Experiments.inter_static_score d ~cutoff:inter_cutoff kind ))
       inter_kinds
-  in
-  intra_cells @ inter_cells
 
 let eval_one (spec : spec) ((cls : Shape.workload_class), (index : int)) : row
     =
   let bench = bench_of spec cls index in
-  let name = bench.Suite.Bench_prog.name in
+  let capture stage f =
+    Fault.capture ~stage ~subject:bench.Suite.Bench_prog.name
+      ~recovery:Context.drop_recovery f
+  in
   let divergent = ref false in
   let cells =
-    match
-      Fault.capture ~stage:Fault.Compile ~subject:name
-        ~recovery:drop_recovery (fun () -> compile_stage bench)
-    with
+    match capture Fault.Compile (fun () -> Context.compile_stage bench) with
     | Error f -> Error f
     | Ok compiled -> (
       match
-        Fault.capture ~stage:Fault.Profile ~subject:name
-          ~recovery:drop_recovery (fun () ->
+        capture Fault.Profile (fun () ->
             List.mapi
               (fun i r ->
-                let p, d = profile_stage compiled i r in
-                if d then divergent := true;
+                let p, stopped =
+                  Context.profile_stage ~fuel:corpus_fuel compiled i
+                    (Context.pipeline_run r)
+                in
+                if stopped then divergent := true;
                 p)
               bench.Suite.Bench_prog.runs)
       with
       | Error f -> Error f
       | Ok profiles ->
-        Fault.capture ~stage:Fault.Estimate ~subject:name
-          ~recovery:drop_recovery (fun () ->
-            estimate_stage compiled profiles))
+        capture Fault.Estimate (fun () ->
+            score_cells { Context.bench; compiled; profiles }))
   in
   { p_bench = bench; p_cls = cls; p_cells = cells; p_divergent = !divergent }
 
@@ -312,7 +255,7 @@ let evaluate (spec : spec) : outcome =
           let name = Genprog.name cls index in
           let fault =
             Fault.absorb ~stage:Fault.Worker ~subject:name
-              ~recovery:drop_recovery e bt
+              ~recovery:Context.drop_recovery e bt
           in
           { p_bench = bench_of spec cls index; p_cls = cls;
             p_cells = Error fault; p_divergent = false })

@@ -116,10 +116,12 @@ let block_label (fn : Cfg.fn) (b : Cfg.block) : string =
 (* Scoring helpers shared by figures 4, 5 and 9. *)
 
 (* Mean (over profiles) of the invocation-weighted intra score of a fixed
-   estimate. *)
+   estimate. Intra estimates come from the content-addressed store
+   ([Incr]), so the ablation sweeps and repeated experiments re-solve
+   nothing they have solved before. *)
 let intra_static_score (d : Context.prog_data) ~(cutoff : float)
     (kind : Pipeline.intra_kind) : float =
-  let estimate = Pipeline.intra_provider d.Context.compiled kind in
+  let estimate = Incr.intra_provider d.Context.compiled kind in
   Pipeline.mean_over_profiles d.Context.profiles (fun p ->
       Pipeline.intra_score d.Context.compiled ~estimate p ~cutoff)
 
@@ -133,7 +135,7 @@ let intra_profiling_score (d : Context.prog_data) ~(cutoff : float) : float =
 (* The smart intra estimates feed every inter-procedural model (paper:
    "All estimates are built on the smart intra-procedural estimator"). *)
 let smart_intra (d : Context.prog_data) : string -> float array =
-  Pipeline.intra_provider d.Context.compiled Pipeline.Ismart
+  Incr.intra_provider d.Context.compiled Pipeline.Ismart
 
 let inter_static_score (d : Context.prog_data) ~(cutoff : float)
     (kind : Pipeline.inter_kind) : float =

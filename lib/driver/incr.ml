@@ -23,9 +23,10 @@
    and the process-wide [Linsolve.solver_mode]; all three are in the
    key, so ablation sweeps and solver-matrix runs through the store
    stay bit-identical to uncached runs — the CI drift gate holds that
-   line. Under an armed fault-injection plan ([Obs.Inject.armed]) the
-   hook bypasses the store entirely: chaos runs must re-execute every
-   estimate to fire the same injection points at the same sites.
+   line. Under an armed fault-injection plan ([Obs.Inject.armed])
+   [intra_provider] bypasses the store entirely: chaos runs must
+   re-execute every estimate to fire the same injection points at the
+   same sites.
 
    Eviction: least-recently-used by a global tick, with approximate
    byte accounting per entry. Eviction changes timings, never results —
@@ -92,19 +93,14 @@ let locked f =
    current footprint, not just its insert-path history. Call with
    [lock] held, after [total_bytes] settles. *)
 let publish_bytes () =
-  Obs.Probe.set_gauge "incr.bytes" (float_of_int !total_bytes);
-  Obs.Probe.observe "incr.bytes" (float_of_int !total_bytes)
+  Obs.Probe.set_gauge "incr.bytes" (float_of_int !total_bytes)
 
 (* Re-publish gauge levels from current state. [Probe.reset] wipes the
    gauge table, so a daemon that resets probes per batch would report a
    missing ["incr.bytes"] until the next store mutation — even though
    the store still holds (say) everything restored at [open_store].
-   Serve calls this after each per-batch reset; only the gauge is
-   rewritten (no [observe]): nothing changed, so the update history
-   must not grow. *)
-let republish_gauges () : unit =
-  locked (fun () ->
-      Obs.Probe.set_gauge "incr.bytes" (float_of_int !total_bytes))
+   Serve calls this after each per-batch reset. *)
+let republish_gauges () : unit = locked publish_bytes
 
 (* Approximate heap footprint of a payload, in bytes. Intra arrays are
    exact up to headers; compiled programs and profiles are estimated
@@ -299,8 +295,7 @@ let profile_key ~(name : string) (source : string)
   "profile|" ^ source_digest ~name source ^ "|" ^ runs_digest runs
 
 (* ------------------------------------------------------------------ *)
-(* The Pipeline hook: every [intra_table] sweep in the process is
-   served from the store while installed. *)
+(* Intra estimates through the store. *)
 
 let cached_intra (key : string) (compute : unit -> float array) :
     float array * bool =
@@ -311,8 +306,9 @@ let cached_intra (key : string) (compute : unit -> float array) :
     add key (Intra a);
     (a, false)
 
-let hook (c : Pipeline.compiled) (kind : Pipeline.intra_kind) (fn : Cfg.fn)
-    (compute : unit -> float array) : float array =
+let cached_solve (c : Pipeline.compiled) (kind : Pipeline.intra_kind)
+    (fn : Cfg.fn) : float array =
+  let compute () = Pipeline.intra_freqs_fn c kind fn in
   if Obs.Inject.armed () then begin
     locked (fun () ->
         incr bypasses;
@@ -321,10 +317,13 @@ let hook (c : Pipeline.compiled) (kind : Pipeline.intra_kind) (fn : Cfg.fn)
   end
   else fst (cached_intra (intra_key c kind fn) compute)
 
-let install () : unit = Pipeline.intra_cache_hook := hook
-
-let uninstall () : unit =
-  Pipeline.intra_cache_hook := fun _ _ _ compute -> compute ()
+(* [Pipeline.intra_provider] with every per-function solve served from
+   the store: how driver code (the experiments, the corpus) reads intra
+   estimates. Bit-identical to the uncached provider, which stays the
+   reference for tests and examples. *)
+let intra_provider (c : Pipeline.compiled) (kind : Pipeline.intra_kind) :
+    string -> float array =
+  Pipeline.intra_provider ~solve:cached_solve c kind
 
 (* ------------------------------------------------------------------ *)
 (* Durable store attachment. [open_store dir] restores every valid
@@ -452,14 +451,15 @@ type analysis = {
   an_fn_hashes : (string * string) list;  (* per function, prog order *)
   an_intra : (Pipeline.intra_kind * (string * float array) list) list;
   an_inter : (string * float) list;  (* markov inter, call-graph order *)
+  an_profiles : Profile.t list;  (* one per run; [] when no runs were given *)
   an_scores : Score.t list;  (* sorted by [Score.key]; not emitted *)
 }
 
-let profile_deadline_s = 300.0
-
 (* Cooperative wall-clock deadline for one [analyze] call: checked
    between per-function solves and threaded into the interpreter's
-   budget machinery for the profiling leg (the only open-ended stage).
+   budget machinery for the profiling leg (the only open-ended stage),
+   where a wall-clock stop raises this instead of keeping a partial
+   profile.
    The serve layer maps the raise to a typed fault response; in
    supervised mode the parent additionally enforces a hard deadline by
    killing the worker process. *)
@@ -500,10 +500,15 @@ let analyze_body ?(kinds : Pipeline.intra_kind list = Pipeline.all_intra_kinds)
   in
   let remaining_profile_deadline () =
     match deadline_s with
-    | None -> profile_deadline_s
+    | None -> Context.run_deadline_s
     | Some d ->
-      Float.min profile_deadline_s
+      Float.min Context.run_deadline_s
         (Float.max 0.001 (d -. (Unix.gettimeofday () -. started)))
+  in
+  let on_stop = function
+    | Cinterp.Eval.Wall_clock ->
+      Option.iter (fun d -> raise (Deadline_exceeded d)) deadline_s
+    | Cinterp.Eval.Fuel -> ()
   in
   let pkey = prog_key ~name source in
   let c, program_hit =
@@ -552,12 +557,20 @@ let analyze_body ?(kinds : Pipeline.intra_kind list = Pipeline.all_intra_kinds)
       (match find key with
       | Some (Profiles ps) -> (Some ps, Some true)
       | Some _ | None ->
-        let ps =
-          Pipeline.profile_runs ~deadline_s:(remaining_profile_deadline ())
-            c runs
+        let outs =
+          List.mapi
+            (fun i r ->
+              Context.profile_stage
+                ~deadline_s:(remaining_profile_deadline ()) ~on_stop c i r)
+            runs
         in
-        add key (Profiles ps);
-        index_key ~name key;
+        let ps = List.map fst outs in
+        (* Only complete profile sets are cached; a partial one (its
+           fault is on the record) is recomputed on the next request. *)
+        if not (List.exists snd outs) then begin
+          add key (Profiles ps);
+          index_key ~name key
+        end;
         (Some ps, Some false))
   in
   let inv_scores =
@@ -634,6 +647,7 @@ let analyze_body ?(kinds : Pipeline.intra_kind list = Pipeline.all_intra_kinds)
         c.Pipeline.prog.Cfg.prog_fns;
     an_intra;
     an_inter = inter;
+    an_profiles = Option.value ~default:[] profiles;
     an_scores }
 
 let analyze ?kinds ?runs ?deadline_s ~(name : string) (source : string) :

@@ -291,8 +291,9 @@ let analysis_response (id : Json.t) (a : Incr.analysis) : Json.t =
 (* The parallel part of [analyze]: everything except the response-cache
    write, which the merge path does sequentially. The cooperative
    [deadline_s] rides into [Incr.analyze]; overrunning it raises
-   [Incr.Deadline_exceeded], which the capture below turns into a typed
-   fault response like any other per-request failure. *)
+   [Incr.Deadline_exceeded], which the handler below turns into a typed
+   fault response like any other per-request failure, plus the
+   deadline marker. *)
 let run_analyze ?(deadline_s : float option) (rq : request) :
     (Incr.analysis, Json.t) result =
   match member_str "name" rq.rq_body with
@@ -307,23 +308,20 @@ let run_analyze ?(deadline_s : float option) (rq : request) :
         (match parse_runs rq.rq_body with
         | Error msg -> Error (plain_error rq.rq_id msg)
         | Ok runs ->
-          (match
-             Fault.capture ~stage:Fault.Experiment ~subject:name
-               ~detail:"serve analyze"
-               ~recovery:"request answered with an error response"
-               (fun () -> Incr.analyze ?kinds ~runs ?deadline_s ~name source)
-           with
-          | Ok a -> Ok a
-          | Error f ->
-            let resp = fault_error rq.rq_id f in
-            let resp =
-              if Fault.(f.f_exn) <> ""
-                 && String.length f.Fault.f_exn >= 17
-                 && String.sub f.Fault.f_exn 0 17 = "Driver.Incr.Deadl"
-              then with_marker "deadline_exceeded" resp
-              else resp
+          (match Incr.analyze ?kinds ~runs ?deadline_s ~name source with
+          | a -> Ok a
+          | exception e ->
+            let f =
+              Fault.absorb ~stage:Fault.Experiment ~subject:name
+                ~detail:"serve analyze"
+                ~recovery:"request answered with an error response" e
+                (Printexc.get_raw_backtrace ())
             in
-            Error resp))))
+            let resp = fault_error rq.rq_id f in
+            (match e with
+            | Incr.Deadline_exceeded _ ->
+              Error (with_marker "deadline_exceeded" resp)
+            | _ -> Error resp)))))
 
 let handle_control (stop : bool ref) (rq : request) : Json.t =
   match rq.rq_op with
@@ -929,28 +927,24 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
    handling and no process exit: returns on EOF or [shutdown]. *)
 
 let serve (ic : in_channel) (oc : out_channel) : unit =
-  Incr.install ();
-  Fun.protect
-    ~finally:(fun () -> Incr.uninstall ())
-    (fun () ->
-      let t = Transport.of_channels ic oc in
-      let stop = ref false in
-      let rec loop () =
-        if not !stop then
-          match t.Transport.read_batch () with
-          | None -> ()
-          | Some lines ->
-            t.Transport.write_lines (handle_batch stop lines);
-            (* Bound the daemon's memory: the fault log only ever holds
-               the current batch's faults. Store gauges are re-published
-               right after — a [metrics] call in the next batch must
-               never see the cache-size gauge missing because something
-               reset the probe tables. *)
-            Fault.reset ();
-            Incr.republish_gauges ();
-            loop ()
-      in
-      loop ())
+  let t = Transport.of_channels ic oc in
+  let stop = ref false in
+  let rec loop () =
+    if not !stop then
+      match t.Transport.read_batch () with
+      | None -> ()
+      | Some lines ->
+        t.Transport.write_lines (handle_batch stop lines);
+        (* Bound the daemon's memory: the fault log only ever holds the
+           current batch's faults. Store gauges are re-published right
+           after — a [metrics] call in the next batch must never see the
+           cache-size gauge missing because something reset the probe
+           tables. *)
+        Fault.reset ();
+        Incr.republish_gauges ();
+        loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The full daemon: [bin serve]. *)
@@ -1167,13 +1161,12 @@ let run (config : config) : 'a =
           ?deadline_s:(Option.map (fun d -> d +. 1.0) config.c_deadline_s)
           ~init:(fun ~shard ->
             Incr.set_budget config.c_budget_bytes;
-            (match config.c_store with
+            match config.c_store with
             | None -> ()
             | Some dir ->
               ignore
                 (Incr.open_store
-                   (Filename.concat dir (Printf.sprintf "shard-%d" shard))));
-            Incr.install ())
+                   (Filename.concat dir (Printf.sprintf "shard-%d" shard))))
           ~finalize:(fun ~shard:_ -> Incr.close_store ())
           ~handler:(handle_one_line ?deadline_s:config.c_deadline_s)
           ()
@@ -1192,7 +1185,6 @@ let run (config : config) : 'a =
           r.Incr.rs_restored
           (if r.Incr.rs_restored = 1 then "y" else "ies")
           dir);
-      Incr.install ();
       Local
     end
   in

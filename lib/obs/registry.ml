@@ -54,8 +54,9 @@ let entries : entry list =
     exact "context.cache_miss" Counter "session program-cache misses";
     exact "context.cache_wait" Counter
       "lookups that blocked on another task filling the same slot";
-    exact "context.partial_profile" Counter
-      "profiles accepted with missing functions backfilled";
+    exact "profile.partial" Counter
+      "profiling runs that exhausted their fuel or wall-clock budget and \
+       kept the partial profile (suite, corpus and serve alike)";
     (* parallel runner *)
     exact "parallel.task" Counter "tasks executed by Parallel.map";
     exact "parallel.task.ns" Hist
@@ -73,14 +74,10 @@ let entries : entry list =
     exact "incr.snapshot" Counter "store snapshots persisted to disk";
     exact "incr.bypass" Counter
       "lookups bypassed because deadline pressure disabled the store";
-    exact "incr.bytes" Counter
-      "byte level of the store at each update (observe history of the gauge)";
     exact "incr.bytes" Gauge "current resident bytes of the incremental store";
     exact "incr.restored" Counter "entries restored from a persisted snapshot";
     exact "incr.analyze.ns" Hist
       "latency of one Incr.analyze call, cache hits included (units: ns)";
-    exact "corpus.partial_profile" Counter
-      "corpus programs profiled with partial coverage";
     (* linear solvers *)
     exact "linsolve.solve" Counter "dense LU solves";
     exact "linsolve.solve.ns" Hist

@@ -13,7 +13,10 @@
    4. a differential sweep — suite + 50 corpus programs, dense and
       sparse solver legs, each given a randomized single-function edit:
       warm incremental re-analysis must be bit-identical to a
-      from-scratch analysis of the same edited source. *)
+      from-scratch analysis of the same edited source;
+   5. the byte gauge follows every store mutation;
+   6. every entry point (suite, corpus, serve) gives a program the same
+      profiles and inter estimates. *)
 
 module Incr = Driver.Incr
 module Parallel = Driver.Parallel
@@ -313,6 +316,61 @@ let test_bytes_gauge_pinned () =
             (Sys.readdir dir);
           (try Unix.rmdir dir with _ -> ())))
 
+(* --- 6. every path gives the same numbers ------------------------------ *)
+
+(* The suite ([Context.by_name]), the corpus (the same stages, uncached,
+   under the corpus fuel budget) and serve ([Incr.analyze ~runs]) must
+   agree on a program's profiles, byte for byte through [Profile.save],
+   and on its Markov-inter invocation vector. *)
+module Context = Driver.Context
+module Pipeline = Core.Pipeline
+
+let check_same_numbers ~(name : string) (d : Context.prog_data) =
+  let b = d.Context.bench in
+  let a =
+    Incr.analyze ~name ~runs:(List.map Context.pipeline_run b.Suite.Bench_prog.runs)
+      b.Suite.Bench_prog.source
+  in
+  Alcotest.(check (list string))
+    (name ^ ": profiles byte-identical")
+    (List.map Cinterp.Profile.save d.Context.profiles)
+    (List.map Cinterp.Profile.save a.Incr.an_profiles);
+  let c = d.Context.compiled in
+  Alcotest.(check (array (float 0.0)))
+    (name ^ ": markov inter identical")
+    (Pipeline.inter_estimate c
+       ~intra:(Driver.Experiments.smart_intra d)
+       Pipeline.Imarkov_inter)
+    (Array.of_list (List.map snd a.Incr.an_inter))
+
+let test_every_path_same_numbers () =
+  Context.clear ();
+  fresh (fun () ->
+      List.iter
+        (fun (b : Suite.Bench_prog.t) ->
+          let name = b.Suite.Bench_prog.name in
+          check_same_numbers ~name (Context.by_name name))
+        Suite.Registry.all;
+      let spec = Driver.Corpus_eval.default_spec in
+      List.iter
+        (fun cls ->
+          for index = 0 to 1 do
+            let bench = Driver.Corpus_eval.bench_of spec cls index in
+            let compiled = Context.compile_stage bench in
+            let profiles =
+              List.mapi
+                (fun i r ->
+                  fst
+                    (Context.profile_stage
+                       ~fuel:Driver.Corpus_eval.corpus_fuel compiled i
+                       (Context.pipeline_run r)))
+                bench.Suite.Bench_prog.runs
+            in
+            check_same_numbers ~name:bench.Suite.Bench_prog.name
+              { Context.bench; compiled; profiles }
+          done)
+        spec.Driver.Corpus_eval.c_classes)
+
 let suite =
   [ Alcotest.test_case "fn hashes are pool-size independent" `Quick
       test_hash_deterministic_across_jobs;
@@ -326,6 +384,8 @@ let suite =
       `Quick test_eviction_never_changes_scores;
     Alcotest.test_case "incr.bytes gauge tracks every mutation" `Quick
       test_bytes_gauge_pinned;
+    Alcotest.test_case "suite, corpus and serve give the same numbers" `Slow
+      test_every_path_same_numbers;
     Alcotest.test_case "incremental == scratch after random edit (dense)"
       `Slow
       (differential_leg Linalg.Linsolve.Dense);

@@ -8,6 +8,8 @@
      across multiple blank-line-separated batches;
    - the warm path: a repeated analyze reports a program cache hit,
      zero function misses, and bit-identical scores;
+   - typed deadline errors, whether the deadline runs out between
+     solves or inside a profiling run;
    - fault isolation: a program that fails to parse produces one error
      response carrying the fault taxonomy, and its batch neighbours
      are answered normally;
@@ -309,6 +311,40 @@ let test_deadline_marker () =
            has_sub e "Deadline")
       | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs))
 
+(* The same marker when the deadline runs out in the profiling leg: a
+   program that never terminates, one run, 200 ms. The interpreter stops
+   on the wall clock; that stop is the request's deadline, not a partial
+   profile to answer with (or to cache). *)
+let test_profile_leg_deadline_marker () =
+  Incr.clear ();
+  Incr.reset_stats ();
+  Fun.protect
+    ~finally:(fun () ->
+      Driver.Fault.reset ();
+      Incr.clear ())
+    (fun () ->
+      let looping =
+        "int main() { int i; i = 0; while (1) { i = i + 1; } return i; }\n"
+      in
+      let line =
+        req
+          [ ("id", Json.Num 8.); ("op", Json.Str "analyze");
+            ("name", Json.Str "looper"); ("source", Json.Str looping);
+            ("runs", Json.Arr [ Json.Obj [ ("input", Json.Str "") ] ]) ]
+      in
+      let t0 = Unix.gettimeofday () in
+      let responses = Serve.handle_batch ~deadline_s:0.2 (ref false) [ line ] in
+      Alcotest.(check bool) "the run was stopped near the deadline" true
+        (Unix.gettimeofday () -. t0 < 30.0);
+      match List.map Json.parse_exn responses with
+      | [ r ] ->
+        Alcotest.(check bool) "deadline response is an error" false (ok_of r);
+        Alcotest.(check bool) "it keeps its request id" true
+          (id_of r = Json.Num 8.);
+        Alcotest.(check bool) "it carries the deadline marker" true
+          (bool_field "deadline_exceeded" r)
+      | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs))
+
 let test_overload_shed_shape () =
   let responses =
     Serve.shed_responses ~queue_limit:4
@@ -490,6 +526,8 @@ let suite =
       test_shutdown_rejects_rest_of_batch;
     Alcotest.test_case "an unmeetable deadline is a typed fault" `Quick
       test_deadline_marker;
+    Alcotest.test_case "a deadline in the profiling leg carries the marker"
+      `Quick test_profile_leg_deadline_marker;
     Alcotest.test_case "a shed request is a typed overload error" `Quick
       test_overload_shed_shape;
     Alcotest.test_case "metrics verb: one JSON snapshot of the plane"
