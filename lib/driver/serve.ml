@@ -2,17 +2,27 @@
    delimited JSON, answering from the warm incremental store.
 
    Framing. One request per line; a *blank line* (or EOF) closes a
-   batch. All [analyze] requests that are adjacent within a batch fan
-   out together — through [Parallel.map] in-process, or across the
-   supervised worker pool under [--workers]; the control operations
-   ([scores], [invalidate], [stats], [resize], [shutdown]) are
-   sequential barriers between fan-outs. Responses are written one per
-   line, in request order, after the whole batch has been processed,
-   then flushed — so a client that writes N lines and a blank line
-   reads exactly N lines back. The framing itself lives in
-   [Driver.Transport]; this module is carrier-agnostic and serves the
-   same protocol over stdin/stdout ([serve], the default of [bin
-   serve]) or a Unix-domain socket ([--socket PATH]).
+   batch. Responses are written one per line, in request order, after
+   the whole batch has been processed — so a client that writes N
+   lines and a blank line reads exactly N lines back. The framing
+   lives in [Driver.Transport].
+
+   One loop. Every carrier is a [Transport.Conn] in one [select] loop:
+   stdin/stdout (the default of [bin serve]) is a single connection
+   with no listener, whose end of input drains the daemon; a
+   Unix-domain socket ([--socket PATH]) adds a listener that accepts
+   any number of them. Admission is per connection: a connection has
+   at most one batch queued or running, and its later batches wait in
+   its buffer. One batch runs per loop turn.
+
+   One request path. Within a batch, the routed requests — [analyze],
+   and [scores]/[invalidate] of one name — go through the dispatcher:
+   adjacent analyzes fan out together, through [Parallel.map]
+   in-process or across the supervised worker pool under [--workers],
+   and both run the same per-request handler. The parent owns the
+   other verbs ([shutdown], [resize], and the [stats]/[metrics]/
+   store-wide [invalidate] that a sharded daemon broadcasts and
+   merges); they are sequential barriers between fan-outs.
 
    Requests:   {"id": .., "op": "analyze", "name": s, "source": s,
                 "kinds": [s..]?, "runs": [{"argv": [s..], "input": s}..]?}
@@ -37,23 +47,26 @@
    request had none or did not parse).
 
    Fault isolation. Each request body runs under [Fault.capture] with
-   the PR-4 taxonomy: a bad source degrades exactly one response —
-   carrying the fault's stage/exn detail — and never the daemon. The
-   fault log is reset after every batch so a long-running daemon's
-   memory stays bounded; clients that care read [stats.faults] (the
-   count for the current batch's log) before it resets. A [shutdown]
-   answers [ok] and stops after its batch; requests queued *behind* it
-   in the same batch get an error response rather than silence.
+   the fault taxonomy: a bad source degrades exactly one response —
+   carrying the fault's stage/exn detail — and never the daemon. A
+   worker ships the faults it recorded back with its reply, so the
+   parent's log holds every fault of the batch. The log is reset after
+   every batch so a long-running daemon's memory stays bounded; clients
+   that care read [stats.faults] (the count for the current batch's
+   log) before it resets. A [shutdown] answers [ok] and stops after its
+   batch; requests *behind* it in the same batch get an error response
+   rather than silence, and so do other connections' admitted batches.
 
    Durability and drain. Under [--store DIR] every intra solution is
    journaled through [Incr]/[Persist] as it is computed, so a restart
-   (graceful or [kill -9]) begins warm. SIGTERM/SIGINT drain
-   gracefully: stop accepting work, finish the in-flight batch, take a
-   final snapshot (flushing the journal), report recorded faults on
-   stderr and exit — code 3 if any batch of the daemon's life degraded,
-   0 otherwise. *)
+   (graceful or [kill -9]) begins warm. SIGTERM/SIGINT only set the
+   drain flag: the loop finishes the in-flight batch, takes a final
+   snapshot (flushing the journal), reports recorded faults on stderr
+   and exits — code 3 if any batch of the daemon's life degraded, 0
+   otherwise. *)
 
 module Json = Obs.Json
+module Conn = Transport.Conn
 
 type request = { rq_id : Json.t; rq_op : string; rq_body : Json.t }
 
@@ -73,59 +86,57 @@ let parse_request (line : string) : (request, Json.t * string) result =
     | Some op -> Ok { rq_id = id; rq_op = op; rq_body = j })
 
 (* The id of a raw line, for error responses built before (or instead
-   of) dispatch: shed, shutdown-drain, client bookkeeping. *)
+   of) dispatch: shed, shutdown-drain. *)
 let line_id (line : string) : Json.t =
   match parse_request line with Ok rq -> rq.rq_id | Error (id, _) -> id
 
-let parse_kinds (j : Json.t) :
-    (Core.Pipeline.intra_kind list option, string) result =
-  match Json.member "kinds" j with
+let name_of (rq : request) : string =
+  Option.value ~default:"" (member_str "name" rq.rq_body)
+
+(* An optional array field, each item through [item]; the first bad
+   item's error wins. *)
+let parse_array (field : string) (item : Json.t -> ('a, string) result)
+    (j : Json.t) : ('a list option, string) result =
+  match Json.member field j with
   | None -> Ok None
-  | Some ks ->
-    (match Json.to_list ks with
-    | None -> Error "\"kinds\" is not an array"
+  | Some v ->
+    (match Json.to_list v with
+    | None -> Error (Printf.sprintf "%S is not an array" field)
     | Some items ->
       let rec go acc = function
         | [] -> Ok (Some (List.rev acc))
-        | item :: rest ->
-          (match Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string with
-          | Some k -> go (k :: acc) rest
-          | None ->
-            Error
-              (Printf.sprintf "unknown intra kind %s"
-                 (Json.to_compact_string item)))
+        | x :: rest -> Result.bind (item x) (fun y -> go (y :: acc) rest)
       in
       go [] items)
 
-let parse_runs (j : Json.t) :
-    (Core.Pipeline.run list, string) result =
-  match Json.member "runs" j with
-  | None -> Ok []
-  | Some rs ->
-    (match Json.to_list rs with
-    | None -> Error "\"runs\" is not an array"
-    | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-          let argv =
-            match Option.bind (Json.member "argv" item) Json.to_list with
-            | None -> Some []
-            | Some l ->
-              let strs = List.filter_map Json.to_str l in
-              if List.length strs = List.length l then Some strs else None
-          in
-          let input =
-            match Json.member "input" item with
-            | None -> Some ""
-            | Some v -> Json.to_str v
-          in
-          (match (argv, input) with
-          | Some argv, Some input ->
-            go ({ Core.Pipeline.argv; input } :: acc) rest
-          | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
+let parse_kinds : Json.t -> (Core.Pipeline.intra_kind list option, string) result =
+  parse_array "kinds" (fun item ->
+      match Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string with
+      | Some k -> Ok k
+      | None ->
+        Error
+          (Printf.sprintf "unknown intra kind %s" (Json.to_compact_string item)))
+
+let parse_runs (j : Json.t) : (Core.Pipeline.run list, string) result =
+  parse_array "runs"
+    (fun item ->
+      let argv =
+        match Option.bind (Json.member "argv" item) Json.to_list with
+        | None -> Some []
+        | Some l ->
+          let strs = List.filter_map Json.to_str l in
+          if List.length strs = List.length l then Some strs else None
       in
-      go [] items)
+      let input =
+        match Json.member "input" item with
+        | None -> Some ""
+        | Some v -> Json.to_str v
+      in
+      match (argv, input) with
+      | Some argv, Some input -> Ok { Core.Pipeline.argv; input }
+      | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
+    j
+  |> Result.map (Option.value ~default:[])
 
 (* ------------------------------------------------------------------ *)
 (* Responses. *)
@@ -133,17 +144,12 @@ let parse_runs (j : Json.t) :
 let ok_response (id : Json.t) (fields : (string * Json.t) list) : Json.t =
   Json.Obj (("id", id) :: ("ok", Json.Bool true) :: fields)
 
+(* The [error] object is a fault in the run record's shape; a worker's
+   ["__faults"] envelope carries the same objects. *)
 let fault_error (id : Json.t) (f : Fault.t) : Json.t =
   Json.Obj
     [ ("id", id); ("ok", Json.Bool false);
-      ("error",
-       Json.Obj
-         [ ("stage", Json.Str (Fault.stage_to_string f.Fault.f_stage));
-           ("subject", Json.Str f.Fault.f_subject);
-           ("detail", Json.Str f.Fault.f_detail);
-           ("exn", Json.Str f.Fault.f_exn);
-           ("recovery", Json.Str f.Fault.f_recovery) ])
-    ]
+      ("error", Run_record.fault_to_json f) ]
 
 let plain_error (id : Json.t) (detail : string) : Json.t =
   fault_error id
@@ -197,7 +203,9 @@ let deadline_response (id : Json.t) ~(name : string) (seconds : float) :
 (* ------------------------------------------------------------------ *)
 (* The metrics snapshot: one JSON object of every counter, gauge and
    histogram summary, plus the slow-request log. Schema versioned like
-   the run-record schema; bump on any shape change. *)
+   the run-record schema; bump on any shape change. This is one
+   process's part — what a worker answers to [metrics]; the parent
+   merges its own with its shards' ([merge_metrics]). *)
 
 let metrics_schema_version = 1
 
@@ -215,19 +223,8 @@ let metrics_payload () : (string * Json.t) list =
                  ("max", Json.Num c.Obs.Probe.vmax) ] ))
          (Obs.Probe.counters ()))
   in
-  (* Gauges carry a shard label from day one so local and merged
-     snapshots parse identically; -1 is "this process" (the parent, or
-     an unsharded daemon). *)
   let gauges =
-    Json.Obj
-      (List.map
-         (fun (name, v) ->
-           ( name,
-             Json.Obj
-               [ ("value", Json.Num v); ("shard", num (-1));
-                 ("per_shard", Json.Arr [ Json.Arr [ num (-1); Json.Num v ] ])
-               ] ))
-         (Obs.Probe.gauges ()))
+    Json.Obj (List.map (fun (name, v) -> (name, Json.Num v)) (Obs.Probe.gauges ()))
   in
   let hists =
     Json.Obj
@@ -249,26 +246,21 @@ let metrics_payload () : (string * Json.t) list =
         ("count", num (Reqtrace.slow_count ()));
         ("recent", Json.Arr (List.map Reqtrace.slow_entry_to_json recent)) ]
   in
-  [ ("schema", num metrics_schema_version);
-    ("counters", counters);
-    ("gauges", gauges);
-    ("hists", hists);
-    ("slow", slow);
-    ("workers", num 0);
-    ("workers_alive", num 0);
-    ("worker_restarts", num 0);
-    ("worker_lost", num 0);
-    ("shards", Json.Arr []);
-    ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+  [ ("counters", counters); ("gauges", gauges); ("hists", hists);
+    ("slow", slow) ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-request handlers. *)
+(* The per-request handler: every dispatcher runs it — on pool domains
+   in-process, inside the owning worker when sharded. *)
 
 (* Last successful analysis per program name, so [scores] can answer
-   without re-running anything. Written only from the sequential merge
-   path of [handle_batch] (or, sharded, inside the owning worker);
-   bounded by the number of distinct names. *)
+   without re-running anything. In-process handlers write it from pool
+   domains, hence the lock; bounded by the number of distinct names. *)
 let last_scores : (string, Score.t list) Hashtbl.t = Hashtbl.create 64
+let last_scores_lock = Mutex.create ()
+
+let with_last_scores (f : (string, Score.t list) Hashtbl.t -> 'a) : 'a =
+  Mutex.protect last_scores_lock (fun () -> f last_scores)
 
 let scores_json (scores : Score.t list) : Json.t =
   Json.Arr (List.map Run_record.score_to_json scores)
@@ -288,28 +280,28 @@ let analysis_response (id : Json.t) (a : Incr.analysis) : Json.t =
          (List.map (fun (fn, h) -> (fn, Json.Str h)) a.Incr.an_fn_hashes));
       ("scores", scores_json a.Incr.an_scores) ]
 
-(* The parallel part of [analyze]: everything except the response-cache
-   write, which the merge path does sequentially. The cooperative
-   [deadline_s] rides into [Incr.analyze]; overrunning it raises
-   [Incr.Deadline_exceeded], which the handler below turns into a typed
-   fault response like any other per-request failure, plus the
-   deadline marker. *)
-let run_analyze ?(deadline_s : float option) (rq : request) :
-    (Incr.analysis, Json.t) result =
+(* [analyze]. The cooperative [deadline_s] rides into [Incr.analyze];
+   overrunning it raises [Incr.Deadline_exceeded], which becomes a typed
+   fault response like any other per-request failure, plus the deadline
+   marker. *)
+let run_analyze ?(deadline_s : float option) (rq : request) : Json.t =
   match member_str "name" rq.rq_body with
-  | None -> Error (plain_error rq.rq_id "analyze needs a \"name\" field")
+  | None -> plain_error rq.rq_id "analyze needs a \"name\" field"
   | Some name ->
     (match member_str "source" rq.rq_body with
-    | None -> Error (plain_error rq.rq_id "analyze needs a \"source\" field")
+    | None -> plain_error rq.rq_id "analyze needs a \"source\" field"
     | Some source ->
       (match parse_kinds rq.rq_body with
-      | Error msg -> Error (plain_error rq.rq_id msg)
+      | Error msg -> plain_error rq.rq_id msg
       | Ok kinds ->
         (match parse_runs rq.rq_body with
-        | Error msg -> Error (plain_error rq.rq_id msg)
+        | Error msg -> plain_error rq.rq_id msg
         | Ok runs ->
           (match Incr.analyze ?kinds ~runs ?deadline_s ~name source with
-          | a -> Ok a
+          | a ->
+            with_last_scores (fun t ->
+                Hashtbl.replace t a.Incr.an_name a.Incr.an_scores);
+            analysis_response rq.rq_id a
           | exception e ->
             let f =
               Fault.absorb ~stage:Fault.Experiment ~subject:name
@@ -319,17 +311,17 @@ let run_analyze ?(deadline_s : float option) (rq : request) :
             in
             let resp = fault_error rq.rq_id f in
             (match e with
-            | Incr.Deadline_exceeded _ ->
-              Error (with_marker "deadline_exceeded" resp)
-            | _ -> Error resp)))))
+            | Incr.Deadline_exceeded _ -> with_marker "deadline_exceeded" resp
+            | _ -> resp)))))
 
-let handle_control (stop : bool ref) (rq : request) : Json.t =
+let handle ?(deadline_s : float option) (rq : request) : Json.t =
   match rq.rq_op with
+  | "analyze" -> run_analyze ?deadline_s rq
   | "scores" ->
     (match member_str "name" rq.rq_body with
     | None -> plain_error rq.rq_id "scores needs a \"name\" field"
     | Some name ->
-      (match Hashtbl.find_opt last_scores name with
+      (match with_last_scores (fun t -> Hashtbl.find_opt t name) with
       | None ->
         plain_error rq.rq_id
           (Printf.sprintf "no analysis on record for %S" name)
@@ -340,13 +332,13 @@ let handle_control (stop : bool ref) (rq : request) : Json.t =
     (match member_str "name" rq.rq_body with
     | Some name ->
       let dropped = Incr.invalidate ~name in
-      Hashtbl.remove last_scores name;
+      with_last_scores (fun t -> Hashtbl.remove t name);
       ok_response rq.rq_id
         [ ("name", Json.Str name);
           ("dropped", Json.Num (float_of_int dropped)) ]
     | None ->
       Incr.clear ();
-      Hashtbl.reset last_scores;
+      with_last_scores Hashtbl.reset;
       ok_response rq.rq_id [ ("cleared", Json.Bool true) ])
   | "stats" ->
     let st = Incr.stats () in
@@ -373,119 +365,143 @@ let handle_control (stop : bool ref) (rq : request) : Json.t =
            repository's rev as it is *now*, not at startup. *)
         ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
   | "metrics" -> ok_response rq.rq_id (metrics_payload ())
-  | "resize" ->
-    (match Option.bind (Json.member "jobs" rq.rq_body) Json.to_num with
-    | None -> plain_error rq.rq_id "resize needs a numeric \"jobs\" field"
-    | Some n ->
-      Parallel.set_jobs (int_of_float n);
-      ok_response rq.rq_id [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ])
-  | "shutdown" ->
-    stop := true;
-    ok_response rq.rq_id [ ("stopping", Json.Bool true) ]
   | op -> plain_error rq.rq_id (Printf.sprintf "unknown op %S" op)
 
-(* ------------------------------------------------------------------ *)
-(* The worker side of [--workers]: handle exactly one request line and
-   return one response line. Runs inside a [Supervise] child, which
-   has its own store shard attached ([Incr.open_store DIR/shard-N]).
-   Chaos ([--chaos SEED] arming ["serve.worker-kill"]) kills the worker
-   *process* here, by request key — the parent's supervision, not this
-   handler, turns that into a typed response. *)
-
-let handle_one_line ?(deadline_s : float option) (line : string) : string =
-  let parsed = parse_request line in
-  (* The parent's tracing envelope: ["__trace"] asks for our span
-     subtree back; ["__seq"] is the daemon-assigned request id, echoed
-     inside the subtree envelope so the parent can verify it grafts the
-     right request's spans. *)
-  let want_trace =
-    match parsed with
-    | Ok rq -> Json.member "__trace" rq.rq_body = Some (Json.Bool true)
-    | Error _ -> false
-  in
-  let seq =
-    match parsed with
-    | Ok rq -> Option.bind (Json.member "__seq" rq.rq_body) Json.to_num
-    | Error _ -> None
-  in
-  let handle () =
-    match parsed with
-    | Error (id, msg) -> plain_error id msg
-    | Ok rq when rq.rq_op = "analyze" ->
-      (match member_str "name" rq.rq_body with
-      | Some name when Obs.Inject.should_fire "serve.worker-kill" ~key:name
-        ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill;
-        plain_error rq.rq_id "unreachable"
-      | _ ->
-        (match run_analyze ?deadline_s rq with
-        | Ok a ->
-          Hashtbl.replace last_scores a.Incr.an_name a.Incr.an_scores;
-          analysis_response rq.rq_id a
-        | Error resp -> resp))
-    | Ok rq -> handle_control (ref false) rq
-  in
+(* [handle], timed, and — when [seq] asks for it — with the request's
+   span subtree in a leading ["__spans"] envelope field, tagged with the
+   daemon-assigned sequence number for the parent to verify. The tree
+   ships by value: span ids collide across forks. *)
+let answer ?(deadline_s : float option) ?(seq : int option) (rq : request) :
+    Json.t =
   let resp, root =
     Obs.Hist.time "serve.handle.ns" (fun () ->
-        if want_trace then Reqtrace.with_root handle else (handle (), -1))
+        if seq = None then (handle ?deadline_s rq, -1)
+        else Reqtrace.with_root (fun () -> handle ?deadline_s rq))
   in
-  let resp =
-    if want_trace && root >= 0 then
-      match (Reqtrace.tree_of_root root (Obs.Probe.spans ()), resp) with
-      | Some tree, Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [ ( "__spans",
-                Json.Obj
-                  [ ( "seq",
-                      match seq with Some s -> Json.Num s | None -> Json.Null
-                    );
-                    ("tree", Reqtrace.tree_to_json tree) ] ) ])
-      | _ -> resp
-    else resp
-  in
-  let s = Json.to_compact_string resp in
-  (* One request is this process's whole batch: reset the log after the
-     response (which already carries any fault detail) is built. Store
-     gauges are re-published and span buffers dropped for the same
-     bounded-memory reason — counters and histograms accumulate for the
-     life of the worker; [metrics] reads them. *)
+  match (seq, resp) with
+  | Some seq, Json.Obj fields when root >= 0 ->
+    (match Reqtrace.tree_of_root root (Obs.Probe.spans ()) with
+    | Some tree ->
+      Json.Obj
+        (( "__spans",
+           Json.Obj
+             [ ("seq", Json.Num (float_of_int seq));
+               ("tree", Reqtrace.tree_to_json tree) ] )
+        :: fields)
+    | None -> resp)
+  | _ -> resp
+
+(* Where every batch ends — after each batch of the serve loop, and
+   after each request in a worker, whose whole batch it is: the fault
+   log resets (the responses already carry the detail), the store
+   gauges are re-published (a [metrics] call in the next batch must
+   never see them missing because something reset the probe tables),
+   and the span buffers are dropped, so a long-running daemon's memory
+   stays bounded. Counters and histograms accumulate for [metrics]. *)
+let end_batch () : unit =
   Fault.reset ();
   Incr.republish_gauges ();
-  if Obs.Probe.enabled () then Obs.Probe.reset_spans ();
-  s
+  if Obs.Probe.enabled () then Obs.Probe.reset_spans ()
+
+(* The worker side of [--workers]: one request line in, one response
+   line out, inside a [Supervise] child that holds its own store shard
+   ([Incr.open_store DIR/shard-N]). The faults the request recorded ride
+   back in a leading ["__faults"] envelope field: the worker's log
+   resets with its batch, and the parent must count them. Chaos
+   ([--chaos SEED] arming ["serve.worker-kill"]) kills the worker
+   *process* here, by request key — the parent's supervision turns that
+   into a typed response. *)
+let worker_line ?(deadline_s : float option) (line : string) : string =
+  let resp =
+    match parse_request line with
+    | Error (id, msg) -> plain_error id msg
+    | Ok rq ->
+      (match member_str "name" rq.rq_body with
+      | Some name
+        when rq.rq_op = "analyze"
+             && Obs.Inject.should_fire "serve.worker-kill" ~key:name ->
+        Unix.kill (Unix.getpid ()) Sys.sigkill
+      | _ -> ());
+      let seq = Option.bind (Json.member "__seq" rq.rq_body) Json.to_num in
+      answer ?deadline_s ?seq:(Option.map int_of_float seq) rq
+  in
+  let resp =
+    match (Fault.sorted (), resp) with
+    | (_ :: _ as faults), Json.Obj fields ->
+      Json.Obj (("__faults", Json.Arr (List.map Run_record.fault_to_json faults)) :: fields)
+    | _ -> resp
+  in
+  end_batch ();
+  Json.to_compact_string resp
+
+(* The parent's side of the envelope, whose fields lead the reply
+   object (a client-facing response always starts with its id): strip
+   ["__faults"] (recorded here, so a worker's faults count toward
+   [stats.faults], the stderr summary and the exit code) and
+   ["__spans"] (kept only when the echoed sequence number proves the
+   subtree is this request's). A line without them is returned byte
+   for byte. *)
+let unwrap ~(seq : int) (line : string) : string * Reqtrace.tree option =
+  match
+    if String.starts_with ~prefix:"{\"__" line then Json.parse line
+    else Error ""
+  with
+  | Ok (Json.Obj fields) ->
+    let env, rest =
+      List.partition (fun (k, _) -> k = "__faults" || k = "__spans") fields
+    in
+    (match List.assoc_opt "__faults" env with
+    | Some (Json.Arr fs) ->
+      List.iter
+        (fun j -> Result.iter Fault.record (Run_record.fault_of_json j))
+        fs
+    | _ -> ());
+    let tree =
+      match List.assoc_opt "__spans" env with
+      | Some e
+        when Option.bind (Json.member "seq" e) Json.to_num
+             = Some (float_of_int seq) ->
+        Option.bind (Json.member "tree" e) Reqtrace.tree_of_json
+      | _ -> None
+    in
+    (Json.to_compact_string (Json.Obj rest), tree)
+  | _ -> (line, None)
 
 (* ------------------------------------------------------------------ *)
-(* Batch execution. *)
+(* The dispatcher. *)
 
-(* Split a batch into maximal runs of adjacent analyzes (parallel) and
-   single control requests (barriers), preserving order. *)
-type group =
-  | Analyzes of (int * request) list  (* original indices *)
-  | Control of int * request
-  | Malformed of int * Json.t  (* ready-made error response *)
-
-let group_requests (lines : string list) : group list =
-  let parsed =
-    List.mapi (fun i line -> (i, parse_request line)) lines
-  in
-  let flush_run acc run =
-    match run with [] -> acc | run -> Analyzes (List.rev run) :: acc
-  in
-  let rec go acc run = function
-    | [] -> List.rev (flush_run acc run)
-    | (i, Error (id, msg)) :: rest ->
-      go (Malformed (i, plain_error id msg) :: flush_run acc run) [] rest
-    | (i, Ok rq) :: rest when rq.rq_op = "analyze" ->
-      go acc ((i, rq) :: run) rest
-    | (i, Ok rq) :: rest ->
-      go (Control (i, rq) :: flush_run acc run) [] rest
-  in
-  go [] [] parsed
-
-(* How a batch's requests get executed: in this process (fanning out
+(* How routed requests get executed: in this process (fanning out
    through the domain pool) or across the supervised worker pool. *)
 type dispatcher = Local | Sharded of Supervise.t
+
+(* Run routed requests; one [(slot, outcome, seconds)] each, whichever
+   the dispatcher. [seq slot] is [Some n] when the request's span tree
+   should come back. In-process the seconds are the handler's own;
+   sharded, from fan-out start to reply — queue wait included, which is
+   what the client experienced. *)
+let route ?(deadline_s : float option) ~(seq : int -> int option)
+    (dispatcher : dispatcher) (rqs : (int * request) list) :
+    (int * Supervise.outcome * float) list =
+  match dispatcher with
+  | Local ->
+    Parallel.map
+      (fun (slot, rq) ->
+        let t0 = Unix.gettimeofday () in
+        let line = Json.to_compact_string (answer ?deadline_s ?seq:(seq slot) rq) in
+        (slot, Supervise.Reply line, Unix.gettimeofday () -. t0))
+      rqs
+  | Sharded pool ->
+    let forward slot rq =
+      match (seq slot, rq.rq_body) with
+      | Some s, Json.Obj fields ->
+        Json.Obj (fields @ [ ("__seq", Json.Num (float_of_int s)) ])
+      | _ -> rq.rq_body
+    in
+    Supervise.request_many pool
+      (List.map
+         (fun (slot, rq) ->
+           (slot, name_of rq, Json.to_compact_string (forward slot rq)))
+         rqs)
 
 (* Aggregate [stats] across every shard: per-store numeric fields sum;
    [faults] additionally counts the parent's own supervision faults;
@@ -536,7 +552,8 @@ let merge_stats (pool : Supervise.t) (id : Json.t)
         ("worker_lost", num (float_of_int (Supervise.lost pool)));
         ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ])
 
-(* Aggregate [metrics] across the parent and every shard. Counters are
+(* Aggregate [metrics] across the parent and every shard (none
+   in-process). Counters are
    sums (hits and totals add; min-of-mins, max-of-maxes) and histograms
    are bucket merges — both order-independent. Gauges are NOT summed:
    each shard's level was sampled at a different instant, so the merged
@@ -544,9 +561,10 @@ let merge_stats (pool : Supervise.t) (id : Json.t)
    holds it, plus the full per-shard list ([[-1, v] is the parent). A
    client wanting total store bytes across shards reads [stats.bytes],
    which sums a consistent per-store field instead. *)
-let merge_metrics (pool : Supervise.t) (id : Json.t)
+let merge_metrics (pool : Supervise.t option) (id : Json.t)
     (replies : (int * Supervise.outcome) list) : Json.t =
   let num i = Json.Num (float_of_int i) in
+  let sup f = num (Option.fold ~none:0 ~some:f pool) in
   let fnum field j = Option.bind (Json.member field j) Json.to_num in
   let parent = Json.Obj (metrics_payload ()) in
   let sources =
@@ -586,7 +604,7 @@ let merge_metrics (pool : Supervise.t) (id : Json.t)
             Hashtbl.replace counters name merged
           | _ -> ());
       fold_obj j "gauges" (fun (name, g) ->
-          match fnum "value" g with
+          match Json.to_num g with
           | Some v ->
             Hashtbl.replace gauges name
               (Option.value ~default:[] (Hashtbl.find_opt gauges name)
@@ -640,7 +658,7 @@ let merge_metrics (pool : Supervise.t) (id : Json.t)
                ("crashes", num ss.Supervise.ss_crashes);
                ("broken", Json.Bool ss.Supervise.ss_broken);
                ("restarts", num ss.Supervise.ss_restarts) ])
-         (Supervise.shard_states pool))
+         (Option.fold ~none:[] ~some:Supervise.shard_states pool))
   in
   ok_response id
     [ ("schema", num metrics_schema_version);
@@ -650,12 +668,78 @@ let merge_metrics (pool : Supervise.t) (id : Json.t)
       (* The slow log lives in the parent: slow detection times the
          whole round trip, and only the parent holds merged trees. *)
       ("slow", Option.value ~default:Json.Null (Json.member "slow" parent));
-      ("workers", num (Supervise.size pool));
-      ("workers_alive", num (Supervise.alive pool));
-      ("worker_restarts", num (Supervise.restarts pool));
-      ("worker_lost", num (Supervise.lost pool));
+      ("workers", sup Supervise.size);
+      ("workers_alive", sup Supervise.alive);
+      ("worker_restarts", sup Supervise.restarts);
+      ("worker_lost", sup Supervise.lost);
       ("shards", shards_json);
       ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+
+(* The verbs the parent owns. In-process, [stats] and a store-wide
+   [invalidate] are the local handler's; sharded, they and [metrics]
+   are broadcast to every shard and merged. *)
+let control ?(deadline_s : float option) (dispatcher : dispatcher)
+    (stop : bool ref) (rq : request) : Json.t =
+  let broadcast pool =
+    Supervise.broadcast pool (Json.to_compact_string rq.rq_body)
+  in
+  match (rq.rq_op, dispatcher) with
+  | "shutdown", _ ->
+    stop := true;
+    ok_response rq.rq_id [ ("stopping", Json.Bool true) ]
+  | "resize", Sharded _ ->
+    plain_error rq.rq_id
+      "resize is unavailable with --workers; restart the daemon to change \
+       the worker count"
+  | "resize", Local ->
+    (match Option.bind (Json.member "jobs" rq.rq_body) Json.to_num with
+    | None -> plain_error rq.rq_id "resize needs a numeric \"jobs\" field"
+    | Some n ->
+      Parallel.set_jobs (int_of_float n);
+      ok_response rq.rq_id
+        [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ])
+  | "stats", Sharded pool -> merge_stats pool rq.rq_id (broadcast pool)
+  | "metrics", Local -> merge_metrics None rq.rq_id []
+  | "metrics", Sharded pool ->
+    merge_metrics (Some pool) rq.rq_id (broadcast pool)
+  | "invalidate", Sharded pool ->
+    ignore (broadcast pool);
+    ok_response rq.rq_id [ ("cleared", Json.Bool true) ]
+  | _, (Local | Sharded _) -> handle ?deadline_s rq
+
+(* ------------------------------------------------------------------ *)
+(* Batch execution. *)
+
+(* Split a batch into groups, preserving order: maximal runs of
+   adjacent analyzes (one fan-out), a [scores]/[invalidate] of one name
+   (routed alone, so it sees everything before it), and the parent's
+   verbs (barriers). *)
+type group =
+  | Routed of (int * request) list  (* original indices *)
+  | Control of int * request
+  | Malformed of int * Json.t  (* ready-made error response *)
+
+let group_requests (lines : string list) : group list =
+  let parsed =
+    List.mapi (fun i line -> (i, parse_request line)) lines
+  in
+  let flush_run acc run =
+    match run with [] -> acc | run -> Routed (List.rev run) :: acc
+  in
+  let rec go acc run = function
+    | [] -> List.rev (flush_run acc run)
+    | (i, Error (id, msg)) :: rest ->
+      go (Malformed (i, plain_error id msg) :: flush_run acc run) [] rest
+    | (i, Ok rq) :: rest when rq.rq_op = "analyze" ->
+      go acc ((i, rq) :: run) rest
+    | (i, Ok rq) :: rest
+      when (rq.rq_op = "scores" || rq.rq_op = "invalidate")
+           && member_str "name" rq.rq_body <> None ->
+      go (Routed [ (i, rq) ] :: flush_run acc run) [] rest
+    | (i, Ok rq) :: rest ->
+      go (Control (i, rq) :: flush_run acc run) [] rest
+  in
+  go [] [] parsed
 
 (* One request's telemetry, gathered while its group executes and
    resolved after the whole batch: the histogram recording and slow
@@ -667,236 +751,78 @@ type req_telemetry = {
   rt_name : string;
   rt_dur_s : float;
   rt_root : int;                    (* local span root, or -1 *)
-  rt_tree : Reqtrace.tree option;   (* pre-merged (sharded graft) *)
+  rt_tree : Reqtrace.tree option;   (* shipped back with the reply *)
 }
 
-(* Requests answered since startup; the source of [__seq], the request
-   id the daemon assigns at ingress. Only written from the sequential
+(* Requests answered since startup; the source of the sequence numbers
+   the daemon assigns at ingress. Only written from the sequential
    batch path. *)
 let req_seq = ref 0
-
-(* Strip a worker's ["__spans"] envelope off its reply line, returning
-   the client-facing line and the shipped tree — only when the echoed
-   sequence number proves the subtree belongs to this request. *)
-let strip_spans ~(seq : int) (line : string) :
-    string * Reqtrace.tree option =
-  match Json.parse line with
-  | Ok (Json.Obj fields) when List.mem_assoc "__spans" fields ->
-    let env = List.assoc "__spans" fields in
-    let rest = List.filter (fun (k, _) -> k <> "__spans") fields in
-    let tree =
-      match Option.bind (Json.member "seq" env) Json.to_num with
-      | Some s when int_of_float s = seq ->
-        Option.bind (Json.member "tree" env) Reqtrace.tree_of_json
-      | _ -> None
-    in
-    (Json.to_compact_string (Json.Obj rest), tree)
-  | Ok _ | Error _ -> (line, None)
 
 let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
     (stop : bool ref) (lines : string list) : string list =
   let n = List.length lines in
   let responses = Array.make n "" in
-  let put i j = responses.(i) <- Json.to_compact_string j in
   let tracing = Obs.Probe.enabled () && Reqtrace.slow_ms () <> None in
   let seq_base = !req_seq in
   req_seq := !req_seq + n;
-  let seq_of i = seq_base + i in
   let telemetry : req_telemetry list ref = ref [] in
-  let note ?tree ?(root = -1) ~id ~op ~name dur_s =
+  let put ?tree ?(root = -1) ?(dur = 0.0) i ~id ~op ~name line =
+    responses.(i) <- line;
     if Obs.Probe.enabled () then
       telemetry :=
-        { rt_id = id; rt_op = op; rt_name = name; rt_dur_s = dur_s;
+        { rt_id = id; rt_op = op; rt_name = name; rt_dur_s = dur;
           rt_root = root; rt_tree = tree }
         :: !telemetry
   in
-  let name_of (rq : request) =
-    Option.value ~default:"" (member_str "name" rq.rq_body)
+  let reply ?root ?dur i (rq : request) j =
+    put ?root ?dur i ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq)
+      (Json.to_compact_string j)
   in
-  let now = Unix.gettimeofday in
-  (* Plain forwarding for broadcasts; traced forwarding (the tracing
-     envelope rides inside the NDJSON request object) for routed
-     requests, whose replies come back through [strip_spans]. *)
-  let forward (rq : request) : string = Json.to_compact_string rq.rq_body in
-  let forward_traced (rq : request) (seq : int) : string =
-    if not tracing then forward rq
-    else
-      match rq.rq_body with
-      | Json.Obj fields ->
-        Json.to_compact_string
-          (Json.Obj
-             (fields
-             @ [ ("__trace", Json.Bool true);
-                 ("__seq", Json.Num (float_of_int seq)) ]))
-      | _ -> forward rq
-  in
-  let unstrip slot line =
-    if tracing then strip_spans ~seq:(seq_of slot) line else (line, None)
-  in
+  let reject (i, rq) = reply i rq (plain_error rq.rq_id "server is shutting down") in
   List.iter
-    (fun group ->
-      match group with
+    (function
       | Malformed (i, resp) ->
-        put i resp;
-        note ~id:(Option.value ~default:Json.Null (Json.member "id" resp))
-          ~op:"malformed" ~name:"" 0.0
-      | _ when !stop ->
-        let reject i (rq : request) =
-          put i (plain_error rq.rq_id "server is shutting down");
-          note ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq) 0.0
+        put i ~id:(Option.value ~default:Json.Null (Json.member "id" resp))
+          ~op:"malformed" ~name:"" (Json.to_compact_string resp)
+      | Control (i, rq) when !stop -> reject (i, rq)
+      | Routed rqs when !stop -> List.iter reject rqs
+      | Control (i, rq) ->
+        let t0 = Unix.gettimeofday () in
+        let resp, root =
+          Reqtrace.with_root (fun () -> control ?deadline_s dispatcher stop rq)
         in
-        (match group with
-        | Analyzes rqs -> List.iter (fun (i, rq) -> reject i rq) rqs
-        | Control (i, rq) -> reject i rq
-        | Malformed _ -> ())
-      | Control (i, rq) -> (
-        let t0 = now () in
-        match dispatcher with
-        | Local ->
-          let resp, root =
-            Reqtrace.with_root (fun () -> handle_control stop rq)
-          in
-          put i resp;
-          note ~root ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq)
-            (now () -. t0)
-        | Sharded pool ->
-          let finish () =
-            note ~id:rq.rq_id ~op:rq.rq_op ~name:(name_of rq) (now () -. t0)
-          in
-          (match rq.rq_op with
-          | "shutdown" ->
-            stop := true;
-            put i (ok_response rq.rq_id [ ("stopping", Json.Bool true) ]);
-            finish ()
-          | "resize" ->
-            put i
-              (plain_error rq.rq_id
-                 "resize is unavailable with --workers; restart the \
-                  daemon to change the worker count");
-            finish ()
-          | "stats" ->
-            put i
-              (merge_stats pool rq.rq_id
-                 (Supervise.broadcast pool (forward rq)));
-            finish ()
-          | "metrics" ->
-            put i
-              (merge_metrics pool rq.rq_id
-                 (Supervise.broadcast pool (forward rq)));
-            finish ()
-          | "invalidate" when member_str "name" rq.rq_body = None ->
-            ignore (Supervise.broadcast pool (forward rq));
-            put i (ok_response rq.rq_id [ ("cleared", Json.Bool true) ]);
-            finish ()
-          | "scores" | "invalidate" -> (
-            match member_str "name" rq.rq_body with
-            | None ->
-              put i
-                (plain_error rq.rq_id (rq.rq_op ^ " needs a \"name\" field"));
-              finish ()
-            | Some name ->
-              let shard = Supervise.shard_of pool name in
-              let graft wtree =
-                if tracing then
-                  Some
-                    (Reqtrace.graft ~shard
-                       ~roundtrip_ns:
-                         (Int64.of_float ((now () -. t0) *. 1e9))
-                       wtree)
-                else None
-              in
-              (match
-                 Supervise.request pool ~key:name (forward_traced rq (seq_of i))
-               with
-              | Supervise.Reply l ->
-                let l, wtree = unstrip i l in
-                responses.(i) <- l;
-                note ?tree:(graft wtree) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)
-              | Supervise.Deadline s ->
-                put i (deadline_response rq.rq_id ~name s);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)
-              | Supervise.Lost d ->
-                put i (worker_lost_response rq.rq_id ~name d);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:rq.rq_op ~name
-                  (now () -. t0)))
-          | op ->
-            put i (plain_error rq.rq_id (Printf.sprintf "unknown op %S" op));
-            finish ()))
-      | Analyzes rqs -> (
-        match dispatcher with
-        | Local ->
-          let outcomes =
-            Parallel.map
-              (fun (_, rq) ->
-                let t0 = now () in
-                let outcome, root =
-                  Reqtrace.with_root (fun () -> run_analyze ?deadline_s rq)
-                in
-                (outcome, root, now () -. t0))
-              rqs
-          in
-          List.iter2
-            (fun (i, rq) (outcome, root, dur) ->
-              note ~root ~id:rq.rq_id ~op:"analyze" ~name:(name_of rq) dur;
+        reply ~root ~dur:(Unix.gettimeofday () -. t0) i rq resp
+      | Routed rqs ->
+        List.iter
+          (fun (i, outcome, dur) ->
+            let rq = List.assoc i rqs in
+            let name = name_of rq in
+            let line, tree =
               match outcome with
-              | Ok a ->
-                Hashtbl.replace last_scores a.Incr.an_name a.Incr.an_scores;
-                put i (analysis_response rq.rq_id a)
-              | Error resp -> put i resp)
-            rqs outcomes
-        | Sharded pool ->
-          let items =
-            List.filter_map
-              (fun (i, rq) ->
-                match member_str "name" rq.rq_body with
-                | None ->
-                  put i
-                    (plain_error rq.rq_id "analyze needs a \"name\" field");
-                  note ~id:rq.rq_id ~op:"analyze" ~name:"" 0.0;
-                  None
-                | Some name ->
-                  Some (i, name, forward_traced rq (seq_of i), rq))
-              rqs
-          in
-          let by_slot = List.map (fun (i, _, _, rq) -> (i, rq)) items in
-          let outcomes =
-            Supervise.request_many_timed pool
-              (List.map (fun (i, key, line, _) -> (i, key, line)) items)
-          in
-          List.iter
-            (fun (slot, outcome, dur) ->
-              let rq = List.assoc slot by_slot in
-              let name =
-                Option.value ~default:"?" (member_str "name" rq.rq_body)
-              in
-              let shard = Supervise.shard_of pool name in
-              let graft wtree =
-                if tracing then
-                  Some
-                    (Reqtrace.graft ~shard
-                       ~roundtrip_ns:(Int64.of_float (dur *. 1e9))
-                       wtree)
-                else None
-              in
-              match outcome with
-              | Supervise.Reply l ->
-                let l, wtree = unstrip slot l in
-                responses.(slot) <- l;
-                note ?tree:(graft wtree) ~id:rq.rq_id ~op:"analyze" ~name dur
+              | Supervise.Reply l -> unwrap ~seq:(seq_base + i) l
               | Supervise.Deadline s ->
-                put slot (deadline_response rq.rq_id ~name s);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:"analyze" ~name dur
+                (Json.to_compact_string (deadline_response rq.rq_id ~name s), None)
               | Supervise.Lost d ->
-                put slot (worker_lost_response rq.rq_id ~name d);
-                note ?tree:(graft None) ~id:rq.rq_id ~op:"analyze" ~name dur)
-            outcomes))
+                (Json.to_compact_string (worker_lost_response rq.rq_id ~name d), None)
+            in
+            (* A worker's tree hangs under a parent-side node covering
+               the round trip, labelled with its shard. *)
+            let tree =
+              match dispatcher with
+              | Sharded pool when tracing ->
+                Some
+                  (Reqtrace.graft ~shard:(Supervise.shard_of pool name)
+                     ~roundtrip_ns:(Int64.of_float (dur *. 1e9)) tree)
+              | Local | Sharded _ -> tree
+            in
+            put ?tree ~dur i ~id:rq.rq_id ~op:rq.rq_op ~name line)
+          (route ?deadline_s dispatcher rqs
+             ~seq:(fun i -> if tracing then Some (seq_base + i) else None)))
     (group_requests lines);
   (* Resolve telemetry after the last fan-out: record every request's
-     latency, then slow-log anything over threshold with its merged
-     tree. One span dump serves the whole batch; dropping the spans
-     afterwards is what keeps a long-running daemon's memory bounded. *)
+     latency, then slow-log anything over threshold with its tree. One
+     span dump serves the whole batch. *)
   if Obs.Probe.enabled () then begin
     let spans = lazy (Obs.Probe.spans ()) in
     let threshold = Reqtrace.slow_ms () in
@@ -917,37 +843,12 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
           Reqtrace.note_slow ~id:rt.rt_id ~op:rt.rt_op ~name:rt.rt_name ~ms
             tree
         | _ -> ())
-      (List.rev !telemetry);
-    Obs.Probe.reset_spans ()
+      (List.rev !telemetry)
   end;
   Array.to_list responses
 
 (* ------------------------------------------------------------------ *)
-(* The single-client daemon loop (tests; embedded use). No signal
-   handling and no process exit: returns on EOF or [shutdown]. *)
-
-let serve (ic : in_channel) (oc : out_channel) : unit =
-  let t = Transport.of_channels ic oc in
-  let stop = ref false in
-  let rec loop () =
-    if not !stop then
-      match t.Transport.read_batch () with
-      | None -> ()
-      | Some lines ->
-        t.Transport.write_lines (handle_batch stop lines);
-        (* Bound the daemon's memory: the fault log only ever holds the
-           current batch's faults. Store gauges are re-published right
-           after — a [metrics] call in the next batch must never see the
-           cache-size gauge missing because something reset the probe
-           tables. *)
-        Fault.reset ();
-        Incr.republish_gauges ();
-        loop ()
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* The full daemon: [bin serve]. *)
+(* The serve loop. *)
 
 type config = {
   c_socket : string option;   (* Unix-domain socket path; None = stdio *)
@@ -971,30 +872,17 @@ let default_config =
    eventual exit code to 3. *)
 let faults_total = ref 0
 
+(* The end of a parent batch: its faults join the lifetime count and
+   stream to stderr as they happen — the log is about to reset, so this
+   is what makes the drain report complete. *)
 let note_batch_faults () : unit =
   let c = Fault.count () in
   if c > 0 then begin
     faults_total := !faults_total + c;
-    (* The summary is per-batch (the log resets); stream it to stderr
-       as it happens so the drain report is complete. *)
     prerr_string (Fault.summary ());
     flush stderr
   end;
-  Fault.reset ();
-  Incr.republish_gauges ()
-
-let finalize_and_exit ~(dispatcher : dispatcher) () : 'a =
-  (* Stop accepting; workers see EOF, take their final snapshot and
-     exit — the blocking stop is the journal-flush barrier. *)
-  (match dispatcher with
-  | Sharded pool -> Supervise.stop pool
-  | Local -> ());
-  Incr.close_store ();
-  note_batch_faults ();
-  if !faults_total > 0 then
-    Printf.eprintf "serve: drained with %d recorded fault(s)\n%!"
-      !faults_total;
-  exit (if !faults_total > 0 then Fault.degraded_exit_code else 0)
+  end_batch ()
 
 let shed_responses ~(queue_limit : int) (lines : string list) :
     string list =
@@ -1005,138 +893,115 @@ let shed_responses ~(queue_limit : int) (lines : string list) :
         (overloaded_response (line_id line) ~queue_limit))
     lines
 
-(* Channel carrier (stdin/stdout): one client, batches processed as
-   they arrive. A drain signal landing while idle (blocked in read)
-   finalizes directly from the handler; landing mid-batch it defers to
-   the post-batch check, honouring "finish the in-flight batch". *)
-let serve_channels ~(dispatcher : dispatcher) ?(deadline_s : float option)
-    ~(queue_limit : int) (ic : in_channel) (oc : out_channel) : 'a =
-  let t = Transport.of_channels ic oc in
-  let drain = ref false in
-  let processing = ref false in
-  let on_signal (_ : int) =
-    if !processing then drain := true
-    else finalize_and_exit ~dispatcher ()
-  in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  let stop = ref false in
-  let rec loop () =
-    if !stop || !drain then finalize_and_exit ~dispatcher ()
-    else
-      match t.Transport.read_batch () with
-      | None -> finalize_and_exit ~dispatcher ()
-      | Some lines ->
-        let n = List.length lines in
-        Obs.Probe.set_gauge "serve.queue_depth" (float_of_int n);
-        let responses =
-          if n > queue_limit then shed_responses ~queue_limit lines
-          else begin
-            processing := true;
-            let r = handle_batch ?deadline_s ~dispatcher stop lines in
-            processing := false;
-            r
-          end
-        in
-        t.Transport.write_lines responses;
-        Obs.Probe.set_gauge "serve.queue_depth" 0.0;
-        note_batch_faults ();
-        loop ()
-  in
-  loop ()
-
-(* Socket carrier: a select loop multiplexing the listener and every
-   client connection. Completed batches queue for execution (bounded by
-   [queue_limit] *requests*, not batches; past it a whole batch is shed
-   with per-request [overloaded] errors); one batch executes per loop
-   turn, so accept/read latency stays bounded by one batch. *)
-let serve_socket ~(dispatcher : dispatcher) ?(deadline_s : float option)
-    ~(queue_limit : int) (path : string) : 'a =
-  let listener = Transport.listen_unix path in
-  let drain = ref false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> drain := true));
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let conns : (Unix.file_descr, Transport.Conn.conn) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let pending : (Transport.Conn.conn * string list) Queue.t =
-    Queue.create ()
-  in
+(* One [select] loop over the listener, if any, and every connection.
+   A connection's completed batches are admitted one at a time: at most
+   one is queued or running, the rest wait in its buffer. Past
+   [queue_limit] queued *requests* a whole batch is shed with
+   per-request [overloaded] errors. One batch runs per turn, so accept
+   and read latency stay bounded by one batch, and the loop never
+   blocks while an admitted or admissible batch is waiting. It returns
+   on [shutdown], on [drain], or — with no listener — once every
+   connection's input has ended and been answered. Connections the
+   listener accepted are closed; the ones passed in belong to the
+   caller. *)
+let loop ?(deadline_s : float option) ~(dispatcher : dispatcher)
+    ~(queue_limit : int) ~(drain : bool ref)
+    ?(listener : Unix.file_descr option) (conns : Conn.t list) : unit =
+  let conns = ref conns in
+  let pending : (Conn.t * string list) Queue.t = Queue.create () in
   let queued = ref 0 in
   let stop = ref false in
-  let publish_depth () =
+  let depth () =
     Obs.Probe.set_gauge "serve.queue_depth" (float_of_int !queued)
   in
-  let admit conn lines =
-    let k = List.length lines in
-    if !queued + k > queue_limit then
-      Transport.Conn.write_lines conn (shed_responses ~queue_limit lines)
-    else begin
-      Queue.add (conn, lines) pending;
-      queued := !queued + k;
-      publish_depth ()
-    end
+  let rec admit (c : Conn.t) =
+    if not c.Conn.busy then
+      match Conn.next_batch c with
+      | None -> ()
+      | Some lines when !queued + List.length lines > queue_limit ->
+        Conn.write_lines c (shed_responses ~queue_limit lines);
+        admit c
+      | Some lines ->
+        c.Conn.busy <- true;
+        Queue.add (c, lines) pending;
+        queued := !queued + List.length lines;
+        depth ()
   in
-  let drain_and_exit () =
-    (* Admitted-but-unstarted batches get typed errors, not silence. *)
-    Queue.iter
-      (fun (conn, lines) ->
-        Transport.Conn.write_lines conn
-          (List.map
-             (fun line ->
-               Json.to_compact_string
-                 (plain_error (line_id line) "server is shutting down"))
-             lines))
-      pending;
-    Hashtbl.iter (fun _ c -> Transport.Conn.close c) conns;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    (try Sys.remove path with Sys_error _ -> ());
-    finalize_and_exit ~dispatcher ()
-  in
-  let rec loop () =
-    if !drain || !stop then drain_and_exit ();
-    let fds =
-      listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
+  let owned = listener <> None in
+  while (not (!stop || !drain)) && (owned || !conns <> []) do
+    let ready =
+      (not (Queue.is_empty pending)) || List.exists Conn.has_batch !conns
     in
-    let timeout = if Queue.is_empty pending then -1.0 else 0.0 in
-    (match Unix.select fds [] [] timeout with
+    let fds =
+      Option.to_list listener
+      @ List.filter_map
+          (fun c -> if c.Conn.eof then None else Some c.Conn.in_fd)
+          !conns
+    in
+    (* Signals only set [drain]; EINTR wakes the select, and the idle
+       timeout bounds a signal landing just before it. *)
+    (match Unix.select fds [] [] (if ready then 0.0 else 1.0) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
       List.iter
         (fun fd ->
-          if fd = listener then (
-            match Unix.accept listener with
-            | cfd, _ -> Hashtbl.replace conns cfd (Transport.Conn.create cfd)
+          match listener with
+          | Some l when fd = l -> (
+            match Unix.accept l with
+            | cfd, _ -> conns := !conns @ [ Conn.create cfd ]
             | exception Unix.Unix_error _ -> ())
-          else
-            match Hashtbl.find_opt conns fd with
-            | None -> ()
-            | Some conn ->
-              List.iter (admit conn) (Transport.Conn.feed conn);
-              if Transport.Conn.closed conn then begin
-                Hashtbl.remove conns fd;
-                Transport.Conn.close conn
-              end)
+          | _ -> List.iter (fun c -> if c.Conn.in_fd = fd then Conn.feed c) !conns)
         readable);
-    if (not (Queue.is_empty pending)) && not !drain then begin
-      let conn, lines = Queue.pop pending in
-      queued := !queued - List.length lines;
-      publish_depth ();
-      let responses = handle_batch ?deadline_s ~dispatcher stop lines in
-      Transport.Conn.write_lines conn responses;
-      note_batch_faults ()
+    List.iter admit !conns;
+    if not !drain then begin
+      match Queue.take_opt pending with
+      | None -> ()
+      | Some (c, lines) ->
+        queued := !queued - List.length lines;
+        depth ();
+        Conn.write_lines c (handle_batch ?deadline_s ~dispatcher stop lines);
+        c.Conn.busy <- false;
+        note_batch_faults ()
     end;
-    loop ()
-  in
-  loop ()
+    (* A connection leaves once its input has ended and its last batch
+       is answered. *)
+    conns :=
+      List.filter
+        (fun c ->
+          let gone = c.Conn.eof && (not c.Conn.busy) && not (Conn.has_batch c) in
+          if gone && owned then Conn.close c;
+          not gone)
+        !conns
+  done;
+  (* Admitted-but-unstarted batches get typed errors, not silence. *)
+  Queue.iter
+    (fun (c, lines) ->
+      Conn.write_lines c
+        (List.map
+           (fun line ->
+             Json.to_compact_string
+               (plain_error (line_id line) "server is shutting down"))
+           lines))
+    pending;
+  if owned then List.iter Conn.close !conns
 
+(* The embedded daemon (tests; embedded use): the same loop over one
+   channel pair, in-process, with no signal handling and no process
+   exit — returns at end of input or on [shutdown]. *)
+let serve (ic : in_channel) (oc : out_channel) : unit =
+  flush oc;
+  loop ~dispatcher:Local ~queue_limit:default_config.c_queue_limit
+    ~drain:(ref false)
+    [ Conn.create ~out:(Unix.descr_of_out_channel oc)
+        (Unix.descr_of_in_channel ic) ]
+
+(* The full daemon: [bin serve]. *)
 let run (config : config) : 'a =
   (* The daemon IS the telemetry plane: probes record from the first
      request. Span memory stays bounded through the per-batch
-     [reset_spans] in [handle_batch]; counters, gauges and histograms
-     accumulate for the daemon's life and surface through [metrics].
-     Enabled before the worker forks, so shards inherit it. *)
+     [end_batch]; counters, gauges and histograms accumulate for the
+     daemon's life and surface through [metrics]. Enabled before the
+     worker forks, so shards inherit it. *)
   Obs.Probe.set_enabled true;
   Reqtrace.set_slow_ms config.c_slow_ms;
   Reqtrace.set_slow_sink config.c_slow_log;
@@ -1168,7 +1033,7 @@ let run (config : config) : 'a =
                 (Incr.open_store
                    (Filename.concat dir (Printf.sprintf "shard-%d" shard))))
           ~finalize:(fun ~shard:_ -> Incr.close_store ())
-          ~handler:(handle_one_line ?deadline_s:config.c_deadline_s)
+          ~handler:(worker_line ?deadline_s:config.c_deadline_s)
           ()
       in
       Sharded pool
@@ -1188,13 +1053,28 @@ let run (config : config) : 'a =
       Local
     end
   in
-  match config.c_socket with
-  | Some path ->
-    serve_socket ~dispatcher ?deadline_s:config.c_deadline_s
-      ~queue_limit:config.c_queue_limit path
-  | None ->
-    serve_channels ~dispatcher ?deadline_s:config.c_deadline_s
-      ~queue_limit:config.c_queue_limit stdin stdout
+  let drain = ref false in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
+  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> drain := true));
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let listener = Option.map Transport.listen_unix config.c_socket in
+  loop ?deadline_s:config.c_deadline_s ~dispatcher
+    ~queue_limit:config.c_queue_limit ~drain ?listener
+    (if listener = None then [ Conn.create ~out:Unix.stdout Unix.stdin ]
+     else []);
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listener;
+  Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) config.c_socket;
+  (* Workers see EOF, take their final snapshot and exit — the blocking
+     stop is the journal-flush barrier. *)
+  (match dispatcher with
+  | Sharded pool -> Supervise.stop pool
+  | Local -> ());
+  Incr.close_store ();
+  note_batch_faults ();
+  if !faults_total > 0 then
+    Printf.eprintf "serve: drained with %d recorded fault(s)\n%!"
+      !faults_total;
+  exit (if !faults_total > 0 then Fault.degraded_exit_code else 0)
 
 (* ------------------------------------------------------------------ *)
 (* A scripting client for the socket carrier: forward stdin's batches

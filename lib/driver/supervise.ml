@@ -1,9 +1,10 @@
 (* The supervised sharded worker pool behind [serve --workers N].
 
    The parent forks N workers at startup; each worker holds one shard
-   of the incremental store and speaks a trivially simple line protocol
-   over its socketpair: the parent writes one request line, the worker
-   writes back exactly one response line. Requests are routed by a
+   of the incremental store and speaks the serve framing
+   ([Transport.Conn]) over its socketpair: the parent writes one request
+   line as a batch of its own, and the worker answers with exactly one
+   response line, framed the same way. Requests are routed by a
    stable hash of their key (the program name), so every program's
    cache entries, [scores] history and [invalidate] requests land on
    the same worker for the life of the pool.
@@ -32,11 +33,12 @@
    pool creation. The sharded serve path never fans out in-process,
    which guarantees this by construction. *)
 
+module Conn = Transport.Conn
+
 type worker = {
   w_shard : int;
   mutable w_pid : int;
-  mutable w_fd : Unix.file_descr;  (* parent end of the socketpair *)
-  w_buf : Buffer.t;                (* reply bytes, possibly mid-line *)
+  mutable w_conn : Conn.t;         (* parent end of the socketpair *)
   mutable w_alive : bool;
   mutable w_crashes : int;         (* consecutive, reset on a reply *)
   mutable w_broken : bool;         (* circuit breaker tripped *)
@@ -113,21 +115,18 @@ let worker_main (t : t) ~(shard : int) (fd : Unix.file_descr) : 'a =
         channel buffers it inherited from the parent (duplicated
         output) nor run the parent's at_exit hooks. *)
      Unix._exit 1);
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line ->
-         let resp = t.p_handler line in
-         output_string oc resp;
-         output_char oc '\n';
-         flush oc;
-         loop ()
-     in
-     loop ()
-   with _ -> ());
+  let conn = Conn.create fd in
+  let rec loop () =
+    match Conn.next_batch conn with
+    | Some lines ->
+      Conn.write_lines conn (List.map t.p_handler lines @ [ "" ]);
+      loop ()
+    | None when conn.Conn.eof -> ()
+    | None ->
+      Conn.feed conn;
+      loop ()
+  in
+  (try loop () with _ -> ());
   (try t.p_finalize ~shard with _ -> ());
   Unix._exit 0
 
@@ -147,15 +146,14 @@ let spawn (t : t) (w : worker) : unit =
     Array.iter
       (fun (o : worker) ->
         if o.w_shard <> w.w_shard && o.w_alive then
-          try Unix.close o.w_fd with Unix.Unix_error _ -> ())
+          try Unix.close o.w_conn.Conn.in_fd with Unix.Unix_error _ -> ())
       t.p_workers;
     worker_main t ~shard:w.w_shard child_fd
   | pid ->
     Unix.close child_fd;
     w.w_pid <- pid;
-    w.w_fd <- parent_fd;
-    w.w_alive <- true;
-    Buffer.clear w.w_buf
+    w.w_conn <- Conn.create parent_fd;
+    w.w_alive <- true
 
 let reap (w : worker) : unit =
   try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
@@ -174,7 +172,7 @@ let backoff_delay (w : worker) : float =
    Reap it and either trip the breaker or restart after backoff. *)
 let handle_death (t : t) (w : worker) ~(crash : bool) : unit =
   w.w_alive <- false;
-  (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+  Conn.close w.w_conn;
   reap w;
   if crash then begin
     w.w_crashes <- w.w_crashes + 1;
@@ -199,9 +197,9 @@ let start ~(workers : int) ?(deadline_s : float option)
   let t =
     { p_workers =
         Array.init workers (fun shard ->
-            { w_shard = shard; w_pid = 0; w_fd = Unix.stdin;
-              w_buf = Buffer.create 4096; w_alive = false; w_crashes = 0;
-              w_broken = false; w_restarts = 0 });
+            { w_shard = shard; w_pid = 0; w_conn = Conn.create Unix.stdin;
+              w_alive = false; w_crashes = 0; w_broken = false;
+              w_restarts = 0 });
       p_init = init;
       p_finalize = finalize;
       p_handler = handler;
@@ -220,7 +218,7 @@ let stop (t : t) : unit =
   Array.iter
     (fun w ->
       if w.w_alive then begin
-        (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+        Conn.close w.w_conn;
         reap w;
         w.w_alive <- false
       end)
@@ -228,30 +226,6 @@ let stop (t : t) : unit =
 
 (* ------------------------------------------------------------------ *)
 (* Parent side: requests. *)
-
-let take_line (buf : Buffer.t) : string option =
-  let s = Buffer.contents buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-    Buffer.clear buf;
-    Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-    Some (String.sub s 0 i)
-
-let send (w : worker) (line : string) : bool =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off =
-    if off >= len then true
-    else
-      match Unix.write w.w_fd b off (len - off) with
-      | n -> go (off + n)
-      | exception
-          Unix.Unix_error
-            ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-        false
-  in
-  go 0
 
 type pending = {
   pd_slot : int;
@@ -272,7 +246,7 @@ let circuit_msg (w : worker) : string =
    slot, in completion order, with the slot's wall-clock seconds from
    fan-out start to completion — queue wait included, which is what the
    client experienced. *)
-let run_requests_timed (t : t) (items : (int * int * string * string) list) :
+let run (t : t) (items : (int * int * string * string) list) :
     (int * outcome * float) list =
   let t0 = Unix.gettimeofday () in
   let n = Array.length t.p_workers in
@@ -327,18 +301,17 @@ let run_requests_timed (t : t) (items : (int * int * string * string) list) :
             if w.w_broken then lost pd (circuit_msg w)
             else begin
               if not w.w_alive then spawn t w;
-              if send w pd.pd_line then
-                in_flight.(i) <- Some (pd, deadline_abs ())
-              else death i pd
+              Conn.write_lines w.w_conn [ pd.pd_line; "" ];
+              if w.w_conn.Conn.closed then death i pd
+              else in_flight.(i) <- Some (pd, deadline_abs ())
             end)
       t.p_workers
   in
-  let chunk = Bytes.create 65536 in
   while !outstanding > 0 do
     dispatch ();
     let fds =
       Array.to_list
-        (Array.map (fun w -> w.w_fd) t.p_workers)
+        (Array.map (fun w -> w.w_conn.Conn.in_fd) t.p_workers)
       |> List.filteri (fun i _ -> in_flight.(i) <> None)
     in
     if fds <> [] then begin
@@ -363,7 +336,7 @@ let run_requests_timed (t : t) (items : (int * int * string * string) list) :
         (fun fd ->
           match
             Array.to_list t.p_workers
-            |> List.find_opt (fun w -> w.w_alive && w.w_fd = fd)
+            |> List.find_opt (fun w -> w.w_alive && w.w_conn.Conn.in_fd = fd)
           with
           | None -> ()
           | Some w ->
@@ -371,24 +344,15 @@ let run_requests_timed (t : t) (items : (int * int * string * string) list) :
             (match in_flight.(i) with
             | None -> ()
             | Some (pd, _) ->
-              let nread =
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | n -> n
-                | exception
-                    Unix.Unix_error
-                      ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                  0
-              in
-              if nread = 0 then death i pd
-              else begin
-                Buffer.add_subbytes w.w_buf chunk 0 nread;
-                match take_line w.w_buf with
-                | None -> ()
-                | Some line ->
+              Conn.feed w.w_conn;
+              if w.w_conn.Conn.eof then death i pd
+              else
+                match Conn.next_batch w.w_conn with
+                | Some (line :: _) ->
                   w.w_crashes <- 0;
                   in_flight.(i) <- None;
                   finish pd (Reply line)
-              end))
+                | Some [] | None -> ()))
         readable;
       (* Deadline sweep: anything silent past its mark is killed and
          restarted; no replay — the request itself is the suspect. *)
@@ -410,27 +374,19 @@ let run_requests_timed (t : t) (items : (int * int * string * string) list) :
   done;
   !results
 
-let run_requests (t : t) (items : (int * int * string * string) list) :
-    (int * outcome) list =
-  List.map (fun (slot, o, _) -> (slot, o)) (run_requests_timed t items)
-
-let request_many_timed (t : t) (reqs : (int * string * string) list) :
-    (int * outcome * float) list =
-  run_requests_timed t
-    (List.map (fun (slot, key, line) -> (slot, shard_of t key, key, line)) reqs)
-
 let request_many (t : t) (reqs : (int * string * string) list) :
-    (int * outcome) list =
-  List.map (fun (slot, o, _) -> (slot, o)) (request_many_timed t reqs)
+    (int * outcome * float) list =
+  run t
+    (List.map (fun (slot, key, line) -> (slot, shard_of t key, key, line)) reqs)
 
 let request (t : t) ~(key : string) (line : string) : outcome =
   match request_many t [ (0, key, line) ] with
-  | [ (_, o) ] -> o
+  | [ (_, o, _) ] -> o
   | _ -> assert false
 
 (* One request to every shard (control ops with no routing key: stats
    aggregation, store-wide invalidate). *)
 let broadcast (t : t) (line : string) : (int * outcome) list =
-  run_requests t
-    (List.init (Array.length t.p_workers) (fun i -> (i, i, "*", line)))
+  run t (List.init (Array.length t.p_workers) (fun i -> (i, i, "*", line)))
+  |> List.map (fun (shard, o, _) -> (shard, o))
   |> List.sort compare

@@ -1,161 +1,99 @@
-(* Transports for the NDJSON serve protocol.
+(* Transport for the NDJSON serve protocol.
 
-   The daemon's framing is carrier-agnostic: requests are lines, a
-   blank line (or end of stream) closes a batch, and responses come
-   back one line per request after the batch. This module owns that
-   framing so [Driver.Serve] can run the same protocol loop over a
-   channel pair (the legacy stdin/stdout daemon), a Unix-domain-socket
-   connection, or a test harness, without re-implementing line
-   splitting anywhere.
-
-   Two shapes:
-
-   - [t] is the blocking pull interface ([read_batch] / [write_lines])
-     the single-client loop uses;
-   - [Conn] is the incremental push interface the multiplexed socket
-     listener uses: bytes arrive whenever [select] says the fd is
-     readable, [feed] turns them into zero or more completed batches,
-     and partial lines/batches wait in the connection's buffer. *)
-
-type t = {
-  read_batch : unit -> string list option;
-      (* next non-empty batch, [None] at end of stream; a final
-         unterminated batch before EOF is returned like a closed one *)
-  write_lines : string list -> unit;  (* one response per line + flush *)
-  close : unit -> unit;
-}
-
-let of_channels (ic : in_channel) (oc : out_channel) : t =
-  let read_batch () =
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-        if acc = [] then None else Some (List.rev acc)
-      | "" -> if acc = [] then go [] else Some (List.rev acc)
-      | line -> go (line :: acc)
-    in
-    go []
-  in
-  let write_lines lines =
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    flush oc
-  in
-  { read_batch; write_lines; close = (fun () -> ()) }
-
-(* ------------------------------------------------------------------ *)
-(* Multiplexed connections (the socket listener). *)
+   Framing: requests are lines, a blank line (or end of stream) closes
+   a batch, and responses come back one line per request after the
+   batch. This module owns that framing, once, for every carrier: a
+   [Conn] reads one file descriptor and writes another — the same
+   socket for a Unix-domain client, fds 0 and 1 for the stdio daemon,
+   a file pair for a test harness, a socketpair between [Supervise]
+   and a worker (one request per batch). Bytes arrive whenever [select] says
+   the input is readable; [feed] turns them into completed batches,
+   which wait in the connection (as do partial lines and the open
+   batch) until the server takes them with [next_batch]. *)
 
 module Conn = struct
-  type conn = {
-    fd : Unix.file_descr;
-    raw : Buffer.t;                (* bytes read but not yet split *)
-    mutable batch_acc : string list;  (* current batch, reversed *)
-    mutable closed : bool;
+  type t = {
+    in_fd : Unix.file_descr;
+    out_fd : Unix.file_descr;
+    raw : Buffer.t;                   (* bytes read, not yet split *)
+    mutable acc : string list;        (* the open batch, reversed *)
+    batches : string list Queue.t;    (* completed, not yet taken *)
+    mutable eof : bool;               (* the input has ended *)
+    mutable closed : bool;            (* the output is gone *)
+    mutable busy : bool;
+        (* a batch of this connection is queued or running — the
+           server's admission rule, kept with the connection *)
   }
 
-  let create (fd : Unix.file_descr) : conn =
-    { fd; raw = Buffer.create 4096; batch_acc = []; closed = false }
+  let create ?(out : Unix.file_descr option) (fd : Unix.file_descr) : t =
+    { in_fd = fd; out_fd = Option.value ~default:fd out;
+      raw = Buffer.create 4096; acc = []; batches = Queue.create ();
+      eof = false; closed = false; busy = false }
 
-  let fd (c : conn) = c.fd
-
-  let closed (c : conn) = c.closed
-
-  (* Split every complete line out of [raw], keeping the partial tail. *)
-  let drain_lines (c : conn) : string list =
-    let s = Buffer.contents c.raw in
-    let lines = ref [] in
-    let start = ref 0 in
-    String.iteri
-      (fun i ch ->
-        if ch = '\n' then begin
-          lines := String.sub s !start (i - !start) :: !lines;
-          start := i + 1
-        end)
-      s;
-    Buffer.clear c.raw;
-    Buffer.add_substring c.raw s !start (String.length s - !start);
-    List.rev !lines
-
-  (* Consume readable bytes from the fd; returns the batches the new
-     bytes completed, in arrival order. A read of zero bytes is EOF:
-     the connection is marked closed and a pending unterminated batch
-     is flushed out, mirroring the channel transport. *)
-  let feed (c : conn) : string list list =
-    let chunk = Bytes.create 65536 in
-    let n =
-      match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-      | n -> n
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-    in
-    if n = 0 then begin
-      c.closed <- true;
-      let final =
-        match (drain_lines c, c.batch_acc) with
-        | [], [] -> []
-        | lines, acc ->
-          (* any complete lines still buffered, then the open batch *)
-          let batches = ref [] in
-          let acc = ref acc in
-          List.iter
-            (fun line ->
-              if line = "" then begin
-                if !acc <> [] then batches := List.rev !acc :: !batches;
-                acc := []
-              end
-              else acc := line :: !acc)
-            lines;
-          if !acc <> [] then batches := List.rev !acc :: !batches;
-          List.rev !batches
-      in
-      c.batch_acc <- [];
-      final
+  let push_line (c : t) (line : string) : unit =
+    if line <> "" then c.acc <- line :: c.acc
+    else if c.acc <> [] then begin
+      Queue.add (List.rev c.acc) c.batches;
+      c.acc <- []
     end
-    else begin
+
+  (* Reads land here first; every [feed] runs on the main domain. *)
+  let chunk = Bytes.create 65536
+
+  (* One read. A read of zero bytes is the end of input: an
+     unterminated last line and the open batch close there, as they
+     would on a blank line. *)
+  let feed (c : t) : unit =
+    match Unix.read c.in_fd chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
+    | n when n > 0 ->
       Buffer.add_subbytes c.raw chunk 0 n;
-      let batches = ref [] in
-      List.iter
-        (fun line ->
-          if line = "" then begin
-            if c.batch_acc <> [] then
-              batches := List.rev c.batch_acc :: !batches;
-            c.batch_acc <- []
-          end
-          else c.batch_acc <- line :: c.batch_acc)
-        (drain_lines c);
-      List.rev !batches
-    end
+      (* Split only when the new bytes complete a line. *)
+      let rec has_newline i = i < n && (Bytes.get chunk i = '\n' || has_newline (i + 1)) in
+      if has_newline 0 then begin
+        let rec go = function
+          | [] -> ()
+          | [ tail ] -> Buffer.add_string c.raw tail
+          | line :: rest -> push_line c line; go rest
+        in
+        let lines = String.split_on_char '\n' (Buffer.contents c.raw) in
+        Buffer.clear c.raw;
+        go lines
+      end
+    | _ | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      c.eof <- true;
+      push_line c (Buffer.contents c.raw);
+      Buffer.clear c.raw;
+      push_line c ""
+
+  let next_batch (c : t) : string list option = Queue.take_opt c.batches
+
+  let has_batch (c : t) : bool = not (Queue.is_empty c.batches)
 
   (* Blocking full write; a client that vanished mid-write is treated
      as closed and the remaining responses are dropped (they have no
      reader). *)
-  let write_lines (c : conn) (lines : string list) : unit =
+  let write_lines (c : t) (lines : string list) : unit =
     if not c.closed then begin
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        lines;
-      let b = Buffer.to_bytes buf in
+      let b = Bytes.of_string (String.concat "\n" lines ^ "\n") in
       let len = Bytes.length b in
       let rec go off =
         if off < len then
-          match Unix.write c.fd b off (len - off) with
+          match Unix.write c.out_fd b off (len - off) with
           | n -> go (off + n)
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          | exception
+              Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
             ->
             c.closed <- true
       in
-      go 0
+      if lines <> [] then go 0
     end
 
-  let close (c : conn) : unit =
+  (* For socket connections, whose one fd is both ends. *)
+  let close (c : t) : unit =
     c.closed <- true;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
+    try Unix.close c.in_fd with Unix.Unix_error _ -> ()
 end
 
 (* ------------------------------------------------------------------ *)

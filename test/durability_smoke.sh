@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end durability smoke test for the socket daemon, runnable
-# locally and in CI. Four legs:
+# locally and in CI. Six legs:
 #
 #   1. a sharded socket daemon with a persistent store serves a cold
 #      pass then a warm pass (program cache hit, zero recomputation);
@@ -12,7 +12,11 @@
 #      per-shard journals on disk;
 #   4. chaos worker-kill under a fixed seed is deterministic: two
 #      daemons under --chaos 42 lose exactly the same requests, and a
-#      daemon that lost workers drains with the degraded exit code 3.
+#      daemon that lost workers drains with the degraded exit code 3;
+#   5. the telemetry plane across the fork boundary;
+#   6. a fault recorded inside a worker reaches the parent: a sharded
+#      daemon that answered one unparseable program drains with exit 3
+#      and names the program in its stderr fault summary.
 set -eu
 
 BIN="${1:-./_build/default/bin/main.exe}"
@@ -156,5 +160,20 @@ grep -q '"label":"request"' "$dir/slow.ndjson" \
   || fail "slow entries lack the parent-side span"
 grep -q '"label":"worker:' "$dir/slow.ndjson" \
   || fail "slow entries lack the worker-side spans"
+
+# --- leg 6: a worker's fault reaches the parent ------------------------
+rm -f "$dir/sock"
+"$BIN" serve --socket "$dir/sock" --workers 2 \
+  > /dev/null 2> "$dir/degraded.err" &
+srv=$!
+wait_path "$dir/sock"
+printf '{"id":1,"op":"analyze","name":"broken-in-worker","source":"int main( {"}\n' \
+  | "$BIN" serve --connect "$dir/sock" > "$dir/degraded.out"
+grep -q '"ok":false' "$dir/degraded.out" || fail "broken program did not fault"
+kill -TERM "$srv"
+rc=0; wait "$srv" || rc=$?
+[ "$rc" -eq 3 ] || fail "sharded degraded drain exited $rc (want 3)"
+grep -q 'broken-in-worker' "$dir/degraded.err" \
+  || fail "the worker's fault is missing from the daemon's stderr summary"
 
 echo "durability_smoke: OK (restored=$restored, doomed ids: $(echo $doomed1 | tr '\n' ' '), slow entries: $(wc -l < "$dir/slow.ndjson"))"

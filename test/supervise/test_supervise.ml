@@ -44,7 +44,7 @@ let test_echo_roundtrip () =
       let replies = Supervise.request_many pool reqs in
       Alcotest.(check int) "every slot answered" 20 (List.length replies);
       List.iter
-        (fun (slot, outcome) ->
+        (fun (slot, outcome, _) ->
           Alcotest.(check string)
             (Printf.sprintf "slot %d" slot)
             (Printf.sprintf "echo:msg-%d" slot)
