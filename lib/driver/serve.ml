@@ -678,8 +678,8 @@ let merge_metrics (pool : Supervise.t option) (id : Json.t)
 (* The verbs the parent owns. In-process, [stats] and a store-wide
    [invalidate] are the local handler's; sharded, they and [metrics]
    are broadcast to every shard and merged. *)
-let control ?(deadline_s : float option) (dispatcher : dispatcher)
-    (stop : bool ref) (rq : request) : Json.t =
+let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
+    Json.t =
   let broadcast pool =
     Supervise.broadcast pool (Json.to_compact_string rq.rq_body)
   in
@@ -705,7 +705,7 @@ let control ?(deadline_s : float option) (dispatcher : dispatcher)
   | "invalidate", Sharded pool ->
     ignore (broadcast pool);
     ok_response rq.rq_id [ ("cleared", Json.Bool true) ]
-  | _, (Local | Sharded _) -> handle ?deadline_s rq
+  | _, (Local | Sharded _) -> handle rq
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution. *)
@@ -790,7 +790,7 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
       | Control (i, rq) ->
         let t0 = Unix.gettimeofday () in
         let resp, root =
-          Reqtrace.with_root (fun () -> control ?deadline_s dispatcher stop rq)
+          Reqtrace.with_root (fun () -> control dispatcher stop rq)
         in
         reply ~root ~dur:(Unix.gettimeofday () -. t0) i rq resp
       | Routed rqs ->

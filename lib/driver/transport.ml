@@ -6,10 +6,11 @@
    [Conn] reads one file descriptor and writes another — the same
    socket for a Unix-domain client, fds 0 and 1 for the stdio daemon,
    a file pair for a test harness, a socketpair between [Supervise]
-   and a worker (one request per batch). Bytes arrive whenever [select] says
-   the input is readable; [feed] turns them into completed batches,
-   which wait in the connection (as do partial lines and the open
-   batch) until the server takes them with [next_batch]. *)
+   and a worker (one request per batch). Bytes arrive whenever
+   [select] says the input is readable; [feed] turns them into
+   completed batches, which wait in the connection (as do partial
+   lines and the open batch) until the server takes them with
+   [next_batch]. *)
 
 module Conn = struct
   type t = {
@@ -42,24 +43,23 @@ module Conn = struct
 
   (* One read. A read of zero bytes is the end of input: an
      unterminated last line and the open batch close there, as they
-     would on a blank line. *)
+     would on a blank line. Each completed line is allocated once; a
+     partial tail waits in [raw]. *)
   let feed (c : t) : unit =
     match Unix.read c.in_fd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
     | n when n > 0 ->
-      Buffer.add_subbytes c.raw chunk 0 n;
-      (* Split only when the new bytes complete a line. *)
-      let rec has_newline i = i < n && (Bytes.get chunk i = '\n' || has_newline (i + 1)) in
-      if has_newline 0 then begin
-        let rec go = function
-          | [] -> ()
-          | [ tail ] -> Buffer.add_string c.raw tail
-          | line :: rest -> push_line c line; go rest
-        in
-        let lines = String.split_on_char '\n' (Buffer.contents c.raw) in
-        Buffer.clear c.raw;
-        go lines
-      end
+      let rec go start i =
+        if i = n then Buffer.add_subbytes c.raw chunk start (n - start)
+        else if Bytes.get chunk i <> '\n' then go start (i + 1)
+        else begin
+          Buffer.add_subbytes c.raw chunk start (i - start);
+          push_line c (Buffer.contents c.raw);
+          Buffer.clear c.raw;
+          go (i + 1) (i + 1)
+        end
+      in
+      go 0 0
     | _ | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       c.eof <- true;
       push_line c (Buffer.contents c.raw);
@@ -75,11 +75,11 @@ module Conn = struct
      reader). *)
   let write_lines (c : t) (lines : string list) : unit =
     if not c.closed then begin
-      let b = Bytes.of_string (String.concat "\n" lines ^ "\n") in
-      let len = Bytes.length b in
+      let s = String.concat "\n" (lines @ [ "" ]) in
+      let len = String.length s in
       let rec go off =
         if off < len then
-          match Unix.write c.out_fd b off (len - off) with
+          match Unix.write_substring c.out_fd s off (len - off) with
           | n -> go (off + n)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
           | exception
