@@ -7,7 +7,8 @@
 # vary from run to run are masked first: git_rev, the values under
 # "hists", and the "ms"/"tree" fields of slow-log entries. Each
 # transcript ends with one line of exit codes (the daemon's, and for the
-# socket carriers the scripting client's).
+# socket carriers the scripting client's). Daemons run at --jobs 1, or
+# at the $jobs a session sets.
 #
 #   sh test/serve_golden.sh [BIN]            compare; exit 1 on a difference
 #   sh test/serve_golden.sh [BIN] --update   rewrite the golden files
@@ -110,6 +111,17 @@ cat > "$dir/metrics.in" <<'EOF'
 {"id":4,"op":"shutdown"}
 EOF
 
+# Two analyzes of one name in one batch, run at --jobs 2: the first is
+# the slower, and [scores] must still return the second's.
+cat > "$dir/samename.in" <<'EOF'
+{"id":1,"op":"analyze","name":"o","source":"int main() { int i; int s; s = 0; for (i = 0; i < 3000000; i = i + 1) { if (i % 3 == 0) s = s + 1; } return s % 7; }\n","runs":[{"argv":[],"input":""}]}
+{"id":2,"op":"analyze","name":"o","source":"int g(int x) { if (x > 2) return 1; return 0; }\nint main() { return g(1); }\n","runs":[{"argv":[],"input":""}]}
+
+{"id":3,"op":"scores","name":"o"}
+
+{"id":4,"op":"shutdown"}
+EOF
+
 # --- normalizing -------------------------------------------------------
 
 # Textual masks, so every other byte of a response is compared as the
@@ -159,7 +171,7 @@ wait_path () {
 run_stdio () { # session flags...
   s="$1"; shift
   rc=0
-  timeout 60 "$BIN" serve --jobs 1 "$@" < "$dir/$s.in" > "$dir/out" \
+  timeout 60 "$BIN" serve --jobs "$jobs" "$@" < "$dir/$s.in" > "$dir/out" \
     2> /dev/null || rc=$?
   { normalize < "$dir/out"; echo "{\"daemon_exit\":$rc}"; } \
     > "$dir/$s.stdio.ndjson"
@@ -168,7 +180,7 @@ run_stdio () { # session flags...
 run_socket () { # carrier session flags...
   c="$1"; s="$2"; shift 2
   rm -f "$dir/sock"
-  timeout 60 "$BIN" serve --jobs 1 --socket "$dir/sock" "$@" \
+  timeout 60 "$BIN" serve --jobs "$jobs" --socket "$dir/sock" "$@" \
     > /dev/null 2> /dev/null &
   srv=$!
   wait_path "$dir/sock"
@@ -183,8 +195,10 @@ run_socket () { # carrier session flags...
     > "$dir/$s.$c.ndjson"
 }
 
-for s in healthy malformed midshutdown metrics shed; do
+for s in healthy malformed midshutdown metrics shed samename; do
+  jobs=1
   case "$s" in
+    samename) jobs=2; flags="" ;;
     shed) flags="--queue-limit 2" ;;
     metrics) flags="--slow-ms 0" ;;
     *) flags="" ;;
@@ -196,6 +210,7 @@ for s in healthy malformed midshutdown metrics shed; do
   # shellcheck disable=SC2086
   run_socket workers2 "$s" --workers 2 $flags
 done
+jobs=1
 run_socket workers2 chaos --workers 2 --chaos 42
 
 # --- compare -----------------------------------------------------------
