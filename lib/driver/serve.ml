@@ -93,50 +93,55 @@ let line_id (line : string) : Json.t =
 let name_of (rq : request) : string =
   Option.value ~default:"" (member_str "name" rq.rq_body)
 
-(* An optional array field, each item through [item]; the first bad
-   item's error wins. *)
-let parse_array (field : string) (item : Json.t -> ('a, string) result)
-    (j : Json.t) : ('a list option, string) result =
-  match Json.member field j with
+let parse_kinds (j : Json.t) :
+    (Core.Pipeline.intra_kind list option, string) result =
+  match Json.member "kinds" j with
   | None -> Ok None
-  | Some v ->
-    (match Json.to_list v with
-    | None -> Error (Printf.sprintf "%S is not an array" field)
+  | Some ks ->
+    (match Json.to_list ks with
+    | None -> Error "\"kinds\" is not an array"
     | Some items ->
       let rec go acc = function
         | [] -> Ok (Some (List.rev acc))
-        | x :: rest -> Result.bind (item x) (fun y -> go (y :: acc) rest)
+        | item :: rest ->
+          (match Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string with
+          | Some k -> go (k :: acc) rest
+          | None ->
+            Error
+              (Printf.sprintf "unknown intra kind %s"
+                 (Json.to_compact_string item)))
       in
       go [] items)
 
-let parse_kinds : Json.t -> (Core.Pipeline.intra_kind list option, string) result =
-  parse_array "kinds" (fun item ->
-      match Option.bind (Json.to_str item) Core.Pipeline.intra_kind_of_string with
-      | Some k -> Ok k
-      | None ->
-        Error
-          (Printf.sprintf "unknown intra kind %s" (Json.to_compact_string item)))
-
-let parse_runs (j : Json.t) : (Core.Pipeline.run list, string) result =
-  parse_array "runs"
-    (fun item ->
-      let argv =
-        match Option.bind (Json.member "argv" item) Json.to_list with
-        | None -> Some []
-        | Some l ->
-          let strs = List.filter_map Json.to_str l in
-          if List.length strs = List.length l then Some strs else None
+let parse_runs (j : Json.t) :
+    (Core.Pipeline.run list, string) result =
+  match Json.member "runs" j with
+  | None -> Ok []
+  | Some rs ->
+    (match Json.to_list rs with
+    | None -> Error "\"runs\" is not an array"
+    | Some items ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | item :: rest ->
+          let argv =
+            match Option.bind (Json.member "argv" item) Json.to_list with
+            | None -> Some []
+            | Some l ->
+              let strs = List.filter_map Json.to_str l in
+              if List.length strs = List.length l then Some strs else None
+          in
+          let input =
+            match Json.member "input" item with
+            | None -> Some ""
+            | Some v -> Json.to_str v
+          in
+          (match (argv, input) with
+          | Some argv, Some input ->
+            go ({ Core.Pipeline.argv; input } :: acc) rest
+          | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
       in
-      let input =
-        match Json.member "input" item with
-        | None -> Some ""
-        | Some v -> Json.to_str v
-      in
-      match (argv, input) with
-      | Some argv, Some input -> Ok { Core.Pipeline.argv; input }
-      | _ -> Error "each run is {\"argv\": [str..], \"input\": str}")
-    j
-  |> Result.map (Option.value ~default:[])
+      go [] items)
 
 (* ------------------------------------------------------------------ *)
 (* Responses. *)
@@ -151,11 +156,11 @@ let fault_error (id : Json.t) (f : Fault.t) : Json.t =
     [ ("id", id); ("ok", Json.Bool false);
       ("error", Run_record.fault_to_json f) ]
 
-let plain_error (id : Json.t) (detail : string) : Json.t =
+let plain_error ?(recovery = "request rejected; daemon keeps serving")
+    (id : Json.t) (detail : string) : Json.t =
   fault_error id
     { Fault.f_stage = Fault.Experiment; f_subject = "serve";
-      f_detail = detail; f_exn = ""; f_backtrace = "";
-      f_recovery = "request rejected; daemon keeps serving" }
+      f_detail = detail; f_exn = ""; f_backtrace = ""; f_recovery = recovery }
 
 (* Marker-carrying errors (see the protocol comment above). *)
 
@@ -166,39 +171,31 @@ let with_marker (marker : string) (j : Json.t) : Json.t =
 
 let overloaded_response (id : Json.t) ~(queue_limit : int) : Json.t =
   with_marker "overloaded"
-    (fault_error id
-       { Fault.f_stage = Fault.Experiment; f_subject = "serve";
-         f_detail =
-           Printf.sprintf "pending-request queue limit %d exceeded"
-             queue_limit;
-         f_exn = ""; f_backtrace = "";
-         f_recovery =
-           "request shed before execution; retry after the daemon drains" })
+    (plain_error id
+       ~recovery:"request shed before execution; retry after the daemon drains"
+       (Printf.sprintf "pending-request queue limit %d exceeded" queue_limit))
 
 (* Worker-lost and supervised-deadline responses are *recorded* faults:
    they count toward [stats.faults] and turn the daemon's eventual exit
    code to 3, same as any other degradation. *)
+let worker_fault (id : Json.t) ~(marker : string) (f : Fault.t) : Json.t =
+  Fault.record f;
+  with_marker marker (fault_error id f)
 
 let worker_lost_response (id : Json.t) ~(name : string) (detail : string) :
     Json.t =
-  let f =
+  worker_fault id ~marker:"worker_lost"
     { Fault.f_stage = Fault.Worker; f_subject = name; f_detail = detail;
       f_exn = "worker process died"; f_backtrace = "";
       f_recovery = "worker restarted; request replayed once, then failed" }
-  in
-  Fault.record f;
-  with_marker "worker_lost" (fault_error id f)
 
 let deadline_response (id : Json.t) ~(name : string) (seconds : float) :
     Json.t =
-  let f =
+  worker_fault id ~marker:"deadline_exceeded"
     { Fault.f_stage = Fault.Worker; f_subject = name;
       f_detail = Printf.sprintf "request deadline %gs exceeded" seconds;
       f_exn = "worker killed on deadline"; f_backtrace = "";
       f_recovery = "worker restarted; request answered with a deadline fault" }
-  in
-  Fault.record f;
-  with_marker "deadline_exceeded" (fault_error id f)
 
 (* ------------------------------------------------------------------ *)
 (* The metrics snapshot: one JSON object of every counter, gauge and
@@ -254,13 +251,26 @@ let metrics_payload () : (string * Json.t) list =
    in-process, inside the owning worker when sharded. *)
 
 (* Last successful analysis per program name, so [scores] can answer
-   without re-running anything. In-process handlers write it from pool
-   domains, hence the lock; bounded by the number of distinct names. *)
+   without re-running anything. Bounded by the number of distinct
+   names. A [scores] or [invalidate] of one name may run on a pool
+   domain, hence the lock. *)
 let last_scores : (string, Score.t list) Hashtbl.t = Hashtbl.create 64
 let last_scores_lock = Mutex.create ()
 
 let with_last_scores (f : (string, Score.t list) Hashtbl.t -> 'a) : 'a =
   Mutex.protect last_scores_lock (fun () -> f last_scores)
+
+(* An analysis's scores, kept under its name. Callers apply this in
+   request order once a fan-out is over: the handlers of one fan-out
+   finish in any order, and of two analyzes of one name the later
+   request's scores must win. *)
+type remember = (string * Score.t list) option
+
+let remember (r : remember) : unit =
+  Option.iter
+    (fun (name, scores) ->
+      with_last_scores (fun t -> Hashtbl.replace t name scores))
+    r
 
 let scores_json (scores : Score.t list) : Json.t =
   Json.Arr (List.map Run_record.score_to_json scores)
@@ -284,24 +294,25 @@ let analysis_response (id : Json.t) (a : Incr.analysis) : Json.t =
    overrunning it raises [Incr.Deadline_exceeded], which becomes a typed
    fault response like any other per-request failure, plus the deadline
    marker. *)
-let run_analyze ?(deadline_s : float option) (rq : request) : Json.t =
+let run_analyze ?(deadline_s : float option) (rq : request) :
+    Json.t * remember =
+  let reject msg = (plain_error rq.rq_id msg, None) in
   match member_str "name" rq.rq_body with
-  | None -> plain_error rq.rq_id "analyze needs a \"name\" field"
+  | None -> reject "analyze needs a \"name\" field"
   | Some name ->
     (match member_str "source" rq.rq_body with
-    | None -> plain_error rq.rq_id "analyze needs a \"source\" field"
+    | None -> reject "analyze needs a \"source\" field"
     | Some source ->
       (match parse_kinds rq.rq_body with
-      | Error msg -> plain_error rq.rq_id msg
+      | Error msg -> reject msg
       | Ok kinds ->
         (match parse_runs rq.rq_body with
-        | Error msg -> plain_error rq.rq_id msg
+        | Error msg -> reject msg
         | Ok runs ->
           (match Incr.analyze ?kinds ~runs ?deadline_s ~name source with
           | a ->
-            with_last_scores (fun t ->
-                Hashtbl.replace t a.Incr.an_name a.Incr.an_scores);
-            analysis_response rq.rq_id a
+            ( analysis_response rq.rq_id a,
+              Some (a.Incr.an_name, a.Incr.an_scores) )
           | exception e ->
             let f =
               Fault.absorb ~stage:Fault.Experiment ~subject:name
@@ -310,13 +321,14 @@ let run_analyze ?(deadline_s : float option) (rq : request) : Json.t =
                 (Printexc.get_raw_backtrace ())
             in
             let resp = fault_error rq.rq_id f in
-            (match e with
-            | Incr.Deadline_exceeded _ -> with_marker "deadline_exceeded" resp
-            | _ -> resp)))))
+            ( (match e with
+              | Incr.Deadline_exceeded _ -> with_marker "deadline_exceeded" resp
+              | _ -> resp),
+              None )))))
 
-let handle ?(deadline_s : float option) (rq : request) : Json.t =
+(* Every verb but [analyze], answered from this process's store. *)
+let verb (rq : request) : Json.t =
   match rq.rq_op with
-  | "analyze" -> run_analyze ?deadline_s rq
   | "scores" ->
     (match member_str "name" rq.rq_body with
     | None -> plain_error rq.rq_id "scores needs a \"name\" field"
@@ -367,29 +379,19 @@ let handle ?(deadline_s : float option) (rq : request) : Json.t =
   | "metrics" -> ok_response rq.rq_id (metrics_payload ())
   | op -> plain_error rq.rq_id (Printf.sprintf "unknown op %S" op)
 
-(* [handle], timed, and — when [seq] asks for it — with the request's
-   span subtree in a leading ["__spans"] envelope field, tagged with the
-   daemon-assigned sequence number for the parent to verify. The tree
-   ships by value: span ids collide across forks. *)
-let answer ?(deadline_s : float option) ?(seq : int option) (rq : request) :
-    Json.t =
-  let resp, root =
-    Obs.Hist.time "serve.handle.ns" (fun () ->
-        if seq = None then (handle ?deadline_s rq, -1)
-        else Reqtrace.with_root (fun () -> handle ?deadline_s rq))
+(* The handler, timed into [serve.handle.ns]; under [traced], inside a
+   ["request"] root span whose id comes back (-1 otherwise), for the
+   caller to resolve into a tree once no fan-out is running. *)
+let answer ?(deadline_s : float option) ~(traced : bool) (rq : request) :
+    Json.t * remember * int =
+  let handle () =
+    if rq.rq_op = "analyze" then run_analyze ?deadline_s rq else (verb rq, None)
   in
-  match (seq, resp) with
-  | Some seq, Json.Obj fields when root >= 0 ->
-    (match Reqtrace.tree_of_root root (Obs.Probe.spans ()) with
-    | Some tree ->
-      Json.Obj
-        (( "__spans",
-           Json.Obj
-             [ ("seq", Json.Num (float_of_int seq));
-               ("tree", Reqtrace.tree_to_json tree) ] )
-        :: fields)
-    | None -> resp)
-  | _ -> resp
+  Obs.Hist.time "serve.handle.ns" (fun () ->
+      let (resp, kept), root =
+        if traced then Reqtrace.with_root handle else (handle (), -1)
+      in
+      (resp, kept, root))
 
 (* Where every batch ends — after each batch of the serve loop, and
    after each request in a worker, whose whole batch it is: the fault
@@ -422,8 +424,27 @@ let worker_line ?(deadline_s : float option) (line : string) : string =
              && Obs.Inject.should_fire "serve.worker-kill" ~key:name ->
         Unix.kill (Unix.getpid ()) Sys.sigkill
       | _ -> ());
-      let seq = Option.bind (Json.member "__seq" rq.rq_body) Json.to_num in
-      answer ?deadline_s ?seq:(Option.map int_of_float seq) rq
+      let seq =
+        Option.map int_of_float
+          (Option.bind (Json.member "__seq" rq.rq_body) Json.to_num)
+      in
+      let resp, kept, root = answer ?deadline_s ~traced:(seq <> None) rq in
+      remember kept;
+      (* The span subtree ships by value, tagged with the daemon-assigned
+         sequence number for the parent to verify: span ids collide
+         across forks. *)
+      (match (seq, resp) with
+      | Some seq, Json.Obj fields when root >= 0 ->
+        (match Reqtrace.tree_of_root root (Obs.Probe.spans ()) with
+        | Some tree ->
+          Json.Obj
+            (( "__spans",
+               Json.Obj
+                 [ ("seq", Json.Num (float_of_int seq));
+                   ("tree", Reqtrace.tree_to_json tree) ] )
+            :: fields)
+        | None -> resp)
+      | _ -> resp)
   in
   let resp =
     match (Fault.sorted (), resp) with
@@ -474,22 +495,29 @@ let unwrap ~(seq : int) (line : string) : string * Reqtrace.tree option =
    through the domain pool) or across the supervised worker pool. *)
 type dispatcher = Local | Sharded of Supervise.t
 
-(* Run routed requests; one [(slot, outcome, seconds)] each, whichever
-   the dispatcher. [seq slot] is [Some n] when the request's span tree
-   should come back. In-process the seconds are the handler's own;
-   sharded, from fan-out start to reply — queue wait included, which is
-   what the client experienced. *)
+(* Run routed requests; one [(slot, outcome, seconds, root)] each,
+   whichever the dispatcher. In-process the seconds are the handler's
+   own, [root] is the request's span root (resolved into a tree after
+   the batch), and the analyses' scores are remembered in slot order
+   once the fan-out is over. Sharded, the seconds run from fan-out
+   start to reply — queue wait included, which is what the client
+   experienced — and [root] is -1: when [seq slot] is [Some n] the
+   worker ships its span tree back in the reply. *)
 let route ?(deadline_s : float option) ~(seq : int -> int option)
     (dispatcher : dispatcher) (rqs : (int * request) list) :
-    (int * Supervise.outcome * float) list =
+    (int * Supervise.outcome * float * int) list =
   match dispatcher with
   | Local ->
     Parallel.map
       (fun (slot, rq) ->
         let t0 = Unix.gettimeofday () in
-        let line = Json.to_compact_string (answer ?deadline_s ?seq:(seq slot) rq) in
-        (slot, Supervise.Reply line, Unix.gettimeofday () -. t0))
+        let resp, kept, root = answer ?deadline_s ~traced:true rq in
+        ( (slot, Json.to_compact_string resp, Unix.gettimeofday () -. t0, root),
+          kept ))
       rqs
+    |> List.map (fun ((slot, line, dur, root), kept) ->
+           remember kept;
+           (slot, Supervise.Reply line, dur, root))
   | Sharded pool ->
     let forward slot rq =
       match (seq slot, rq.rq_body) with
@@ -502,6 +530,19 @@ let route ?(deadline_s : float option) ~(seq : int -> int option)
          (fun (slot, rq) ->
            (slot, name_of rq, Json.to_compact_string (forward slot rq)))
          rqs)
+    |> List.map (fun (slot, outcome, dur) -> (slot, outcome, dur, -1))
+
+(* The shard replies that parsed, in shard order; a shard that missed
+   its deadline or was lost contributes nothing. *)
+let parsed_replies (replies : (int * Supervise.outcome) list) :
+    (int * Json.t) list =
+  List.filter_map
+    (fun (shard, o) ->
+      match o with
+      | Supervise.Reply l ->
+        Result.to_option (Json.parse l) |> Option.map (fun j -> (shard, j))
+      | Supervise.Deadline _ | Supervise.Lost _ -> None)
+    replies
 
 (* Aggregate [stats] across every shard: per-store numeric fields sum;
    [faults] additionally counts the parent's own supervision faults;
@@ -512,38 +553,26 @@ let sum_fields =
 
 let merge_stats (pool : Supervise.t) (id : Json.t)
     (replies : (int * Supervise.outcome) list) : Json.t =
-  let sums = Hashtbl.create 16 in
-  let persisted = ref false in
-  List.iter
-    (fun (_, o) ->
-      match o with
-      | Supervise.Reply line ->
-        (match Json.parse line with
-        | Error _ -> ()
-        | Ok j ->
-          List.iter
-            (fun f ->
-              match Option.bind (Json.member f j) Json.to_num with
-              | Some v ->
-                Hashtbl.replace sums f
-                  ((try Hashtbl.find sums f with Not_found -> 0.0) +. v)
-              | None -> ())
-            sum_fields;
-          (match Json.member "persisted" j with
-          | Some (Json.Bool true) -> persisted := true
-          | _ -> ()))
-      | Supervise.Deadline _ | Supervise.Lost _ -> ())
-    replies;
-  let get f = try Hashtbl.find sums f with Not_found -> 0.0 in
+  let replies = parsed_replies replies in
+  let sum f =
+    List.fold_left
+      (fun acc (_, j) ->
+        acc +. Option.value ~default:0.0 (Option.bind (Json.member f j) Json.to_num))
+      0.0 replies
+  in
   let num v = Json.Num v in
   ok_response id
     (List.map
        (fun f ->
          if f = "faults" then
-           (f, num (get f +. float_of_int (Fault.count ())))
-         else (f, num (get f)))
+           (f, num (sum f +. float_of_int (Fault.count ())))
+         else (f, num (sum f)))
        sum_fields
-    @ [ ("persisted", Json.Bool !persisted);
+    @ [ ("persisted",
+         Json.Bool
+           (List.exists
+              (fun (_, j) -> Json.member "persisted" j = Some (Json.Bool true))
+              replies));
         ("jobs", num (float_of_int (Supervise.size pool)));
         ("pool_size", Json.Null);
         ("workers", num (float_of_int (Supervise.size pool)));
@@ -567,18 +596,6 @@ let merge_metrics (pool : Supervise.t option) (id : Json.t)
   let sup f = num (Option.fold ~none:0 ~some:f pool) in
   let fnum field j = Option.bind (Json.member field j) Json.to_num in
   let parent = Json.Obj (metrics_payload ()) in
-  let sources =
-    (-1, parent)
-    :: List.filter_map
-         (fun (shard, o) ->
-           match o with
-           | Supervise.Reply l ->
-             (match Json.parse l with
-             | Ok j -> Some (shard, j)
-             | Error _ -> None)
-           | Supervise.Deadline _ | Supervise.Lost _ -> None)
-         replies
-  in
   let counters : (string, float * float * float * float) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -618,7 +635,7 @@ let merge_metrics (pool : Supervise.t option) (id : Json.t)
             in
             Hashtbl.replace hists name (Obs.Hist.merge s0 s)
           | None -> ()))
-    sources;
+    ((-1, parent) :: parsed_replies replies);
   let sorted tbl f =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -705,7 +722,7 @@ let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
   | "invalidate", Sharded pool ->
     ignore (broadcast pool);
     ok_response rq.rq_id [ ("cleared", Json.Bool true) ]
-  | _, (Local | Sharded _) -> handle rq
+  | _, (Local | Sharded _) -> verb rq
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution. *)
@@ -795,7 +812,7 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
         reply ~root ~dur:(Unix.gettimeofday () -. t0) i rq resp
       | Routed rqs ->
         List.iter
-          (fun (i, outcome, dur) ->
+          (fun (i, outcome, dur, root) ->
             let rq = List.assoc i rqs in
             let name = name_of rq in
             let line, tree =
@@ -816,7 +833,7 @@ let handle_batch ?(deadline_s : float option) ?(dispatcher = Local)
                      ~roundtrip_ns:(Int64.of_float (dur *. 1e9)) tree)
               | Local | Sharded _ -> tree
             in
-            put ?tree ~dur i ~id:rq.rq_id ~op:rq.rq_op ~name line)
+            put ?tree ~root ~dur i ~id:rq.rq_id ~op:rq.rq_op ~name line)
           (route ?deadline_s dispatcher rqs
              ~seq:(fun i -> if tracing then Some (seq_base + i) else None)))
     (group_requests lines);
@@ -872,17 +889,16 @@ let default_config =
    eventual exit code to 3. *)
 let faults_total = ref 0
 
-(* The end of a parent batch: its faults join the lifetime count and
-   stream to stderr as they happen — the log is about to reset, so this
-   is what makes the drain report complete. *)
-let note_batch_faults () : unit =
+(* [bin serve]'s end of a batch, before [end_batch] resets the log: its
+   faults join the lifetime count and stream to stderr as they happen,
+   which is what makes the drain report complete. *)
+let note_faults () : unit =
   let c = Fault.count () in
   if c > 0 then begin
     faults_total := !faults_total + c;
     prerr_string (Fault.summary ());
     flush stderr
-  end;
-  end_batch ()
+  end
 
 let shed_responses ~(queue_limit : int) (lines : string list) :
     string list =
@@ -899,13 +915,14 @@ let shed_responses ~(queue_limit : int) (lines : string list) :
    [queue_limit] queued *requests* a whole batch is shed with
    per-request [overloaded] errors. One batch runs per turn, so accept
    and read latency stay bounded by one batch, and the loop never
-   blocks while an admitted or admissible batch is waiting. It returns
-   on [shutdown], on [drain], or — with no listener — once every
+   blocks while an admitted or admissible batch is waiting. After each
+   batch [after_batch] runs, then [end_batch]. It returns on
+   [shutdown], on [drain], or — with no listener — once every
    connection's input has ended and been answered. Connections the
    listener accepted are closed; the ones passed in belong to the
    caller. *)
 let loop ?(deadline_s : float option) ~(dispatcher : dispatcher)
-    ~(queue_limit : int) ~(drain : bool ref)
+    ~(queue_limit : int) ~(drain : bool ref) ~(after_batch : unit -> unit)
     ?(listener : Unix.file_descr option) (conns : Conn.t list) : unit =
   let conns = ref conns in
   let pending : (Conn.t * string list) Queue.t = Queue.create () in
@@ -914,15 +931,17 @@ let loop ?(deadline_s : float option) ~(dispatcher : dispatcher)
   let depth () =
     Obs.Probe.set_gauge "serve.queue_depth" (float_of_int !queued)
   in
+  (* Batches run inside the loop turn that takes them, so between turns
+     a connection's one admitted batch is the one it has in [pending]. *)
+  let admitted c = Seq.exists (fun (c', _) -> c' == c) (Queue.to_seq pending) in
   let rec admit (c : Conn.t) =
-    if not c.Conn.busy then
+    if not (admitted c) then
       match Conn.next_batch c with
       | None -> ()
       | Some lines when !queued + List.length lines > queue_limit ->
         Conn.write_lines c (shed_responses ~queue_limit lines);
         admit c
       | Some lines ->
-        c.Conn.busy <- true;
         Queue.add (c, lines) pending;
         queued := !queued + List.length lines;
         depth ()
@@ -960,15 +979,15 @@ let loop ?(deadline_s : float option) ~(dispatcher : dispatcher)
         queued := !queued - List.length lines;
         depth ();
         Conn.write_lines c (handle_batch ?deadline_s ~dispatcher stop lines);
-        c.Conn.busy <- false;
-        note_batch_faults ()
+        after_batch ();
+        end_batch ()
     end;
     (* A connection leaves once its input has ended and its last batch
        is answered. *)
     conns :=
       List.filter
         (fun c ->
-          let gone = c.Conn.eof && (not c.Conn.busy) && not (Conn.has_batch c) in
+          let gone = c.Conn.eof && (not (admitted c)) && not (Conn.has_batch c) in
           if gone && owned then Conn.close c;
           not gone)
         !conns
@@ -986,12 +1005,13 @@ let loop ?(deadline_s : float option) ~(dispatcher : dispatcher)
   if owned then List.iter Conn.close !conns
 
 (* The embedded daemon (tests; embedded use): the same loop over one
-   channel pair, in-process, with no signal handling and no process
-   exit — returns at end of input or on [shutdown]. *)
+   channel pair, in-process, with no signal handling, no admission
+   limit, no fault report and no process exit — returns at end of input
+   or on [shutdown]. *)
 let serve (ic : in_channel) (oc : out_channel) : unit =
   flush oc;
-  loop ~dispatcher:Local ~queue_limit:default_config.c_queue_limit
-    ~drain:(ref false)
+  loop ~dispatcher:Local ~queue_limit:max_int ~drain:(ref false)
+    ~after_batch:ignore
     [ Conn.create ~out:(Unix.descr_of_out_channel oc)
         (Unix.descr_of_in_channel ic) ]
 
@@ -1059,7 +1079,8 @@ let run (config : config) : 'a =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listener = Option.map Transport.listen_unix config.c_socket in
   loop ?deadline_s:config.c_deadline_s ~dispatcher
-    ~queue_limit:config.c_queue_limit ~drain ?listener
+    ~queue_limit:config.c_queue_limit ~drain ~after_batch:note_faults
+    ?listener
     (if listener = None then [ Conn.create ~out:Unix.stdout Unix.stdin ]
      else []);
   Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listener;
@@ -1070,7 +1091,7 @@ let run (config : config) : 'a =
   | Sharded pool -> Supervise.stop pool
   | Local -> ());
   Incr.close_store ();
-  note_batch_faults ();
+  note_faults ();
   if !faults_total > 0 then
     Printf.eprintf "serve: drained with %d recorded fault(s)\n%!"
       !faults_total;

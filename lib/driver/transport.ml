@@ -21,15 +21,12 @@ module Conn = struct
     batches : string list Queue.t;    (* completed, not yet taken *)
     mutable eof : bool;               (* the input has ended *)
     mutable closed : bool;            (* the output is gone *)
-    mutable busy : bool;
-        (* a batch of this connection is queued or running — the
-           server's admission rule, kept with the connection *)
   }
 
   let create ?(out : Unix.file_descr option) (fd : Unix.file_descr) : t =
     { in_fd = fd; out_fd = Option.value ~default:fd out;
       raw = Buffer.create 4096; acc = []; batches = Queue.create ();
-      eof = false; closed = false; busy = false }
+      eof = false; closed = false }
 
   let push_line (c : t) (line : string) : unit =
     if line <> "" then c.acc <- line :: c.acc
