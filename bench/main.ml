@@ -222,19 +222,6 @@ let warn_single_core () =
        will look slower than --jobs 1 (env blocks are tagged \
        \"single_core\": \"true\")"
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The same environment block the run records carry — plus the
    single-core tag — so bench numbers from different machines/commits
    can be told apart when compared. Shared by every BENCH_*.json. *)
@@ -252,8 +239,8 @@ let add_env_block (buf : Buffer.t) : unit =
   List.iteri
     (fun i (k, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": \"%s\"%s\n" (json_escape k)
-           (json_escape v)
+        (Printf.sprintf "    \"%s\": \"%s\"%s\n" (Obs.Json.escape k)
+           (Obs.Json.escape v)
            (if i = List.length env - 1 then "" else ",")))
     env;
   Buffer.add_string buf "  },\n";
@@ -267,7 +254,7 @@ let add_env_block (buf : Buffer.t) : unit =
     List.iteri
       (fun i (name, s) ->
         Buffer.add_string buf
-          (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name)
+          (Printf.sprintf "    \"%s\": %s%s\n" (Obs.Json.escape name)
              (Obs.Json.to_compact_string (Obs.Hist.summary_json s))
              (if i = List.length hists - 1 then "" else ",")))
       hists;
@@ -352,7 +339,8 @@ let run_profile_throughput (jobs : int) (json_path : string) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"suite\": \"%s\",\n" (json_escape "pldi94-estimators"));
+    (Printf.sprintf "  \"suite\": \"%s\",\n"
+       (Obs.Json.escape "pldi94-estimators"));
   add_env_block buf;
   Buffer.add_string buf (Printf.sprintf "  \"programs\": %d,\n" n_programs);
   Buffer.add_string buf (Printf.sprintf "  \"run_pairs\": %d,\n" n_pairs);
@@ -427,7 +415,7 @@ let run_corpus_sweep (jobs : int) (json_path : string) =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"suite\": \"%s\",\n"
-       (json_escape "pldi94-estimators-corpus"));
+       (Obs.Json.escape "pldi94-estimators-corpus"));
   add_env_block buf;
   Buffer.add_string buf "  \"seed\": 1,\n  \"size\": \"small\",\n";
   Buffer.add_string buf "  \"configs\": [\n";
@@ -538,17 +526,18 @@ let run_solver_bench (json_path : string) =
   let sparse_diag ~n arcs =
     Obs.Probe.set_enabled true;
     Obs.Probe.reset ();
+    Obs.Hist.reset ();
     Linalg.Linsolve.solver_mode := Linalg.Linsolve.Sparse;
     ignore (Linalg.Linsolve.markov_frequencies_iter ~n ~source:0 arcs);
-    let counter name =
+    let sweeps =
       Option.map
-        (fun c -> c.Obs.Probe.vmax)
-        (List.assoc_opt name (Obs.Probe.counters ()))
+        (fun h -> float_of_int h.Obs.Hist.h_max)
+        (List.assoc_opt "linsolve.gs.sweeps" (Obs.Hist.all ()))
     in
-    let sweeps = counter "linsolve.gs.sweeps" in
-    let residual = counter "linsolve.gs.residual" in
+    let residual = Obs.Probe.gauge "linsolve.gs.residual" in
     Obs.Probe.set_enabled false;
     Obs.Probe.reset ();
+    Obs.Hist.reset ();
     (sweeps, residual)
   in
   let configs =
@@ -599,7 +588,7 @@ let run_solver_bench (json_path : string) =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"suite\": \"%s\",\n"
-       (json_escape "pldi94-estimators-solver"));
+       (Obs.Json.escape "pldi94-estimators-solver"));
   add_env_block buf;
   Buffer.add_string buf "  \"configs\": [\n";
   List.iteri
@@ -767,7 +756,7 @@ let run_incremental_bench (json_path : string) =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"suite\": \"%s\",\n"
-       (json_escape "pldi94-estimators-incremental"));
+       (Obs.Json.escape "pldi94-estimators-incremental"));
   add_env_block buf;
   Buffer.add_string buf
     (Printf.sprintf "  \"programs\": %d,\n  \"suite_programs\": %d,\n"
@@ -777,7 +766,7 @@ let run_incremental_bench (json_path : string) =
        (List.length corpus) (Parallel.jobs ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"edited_program\": \"%s\",\n"
-       (json_escape edited_name));
+       (Obs.Json.escape edited_name));
   let phase label t h m last =
     Buffer.add_string buf
       (Printf.sprintf
@@ -915,7 +904,7 @@ let run_probe_overhead (json_path : string) =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"suite\": \"%s\",\n"
-       (json_escape "pldi94-estimators-probe-overhead"));
+       (Obs.Json.escape "pldi94-estimators-probe-overhead"));
   add_env_block buf;
   Buffer.add_string buf
     (Printf.sprintf

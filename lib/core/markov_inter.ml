@@ -183,7 +183,7 @@ let estimate ?(inject_key = "") (g : Callgraph.t)
     match Hashtbl.find_opt arcs (i, i) with
     | Some w when w > 1.0 ->
       clamped := (i, w) :: !clamped;
-      Obs.Probe.observe "markov_inter.self_arc_clamp" w;
+      Obs.Probe.count "markov_inter.self_arc_clamp";
       Hashtbl.replace arcs (i, i) Loop_model.recursive_arc_probability
     | _ -> ()
   done;

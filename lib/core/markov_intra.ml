@@ -84,7 +84,7 @@ let solve_blocks ?(inject_key = "") ?fallback ~(n : int) ~(entry : int)
   (* The solver assembles the system in per-domain scratch buffers
      (Linalg.Scratch), so retries and the per-function solve loop reuse
      one working set instead of allocating n*n afresh each attempt. *)
-  Obs.Probe.observe "markov_intra.solve_n" (float_of_int n);
+  Obs.Hist.observe "markov_intra.solve_n" n;
   let rec attempt damping tries =
     let retry () =
       if tries > 0 then begin

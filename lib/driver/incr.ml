@@ -359,7 +359,7 @@ let open_store ?snapshot_threshold (dir : string) : restore =
       restored := List.length entries;
       evict_to_budget ();
       publish_bytes ();
-      Obs.Probe.observe "incr.restored" (float_of_int !restored);
+      Obs.Probe.set_gauge "incr.restored" (float_of_int !restored);
       { rs_restored = !restored; rs_truncated = truncated })
 
 (* Flush the durable state (final snapshot compacts the journal) and

@@ -198,37 +198,16 @@ let deadline_response (id : Json.t) ~(name : string) (seconds : float) :
       f_recovery = "worker restarted; request answered with a deadline fault" }
 
 (* ------------------------------------------------------------------ *)
-(* The metrics snapshot: one JSON object of every counter, gauge and
-   histogram summary, plus the slow-request log. Schema versioned like
-   the run-record schema; bump on any shape change. This is one
-   process's part — what a worker answers to [metrics]; the parent
-   merges its own with its shards' ([merge_metrics]). *)
+(* The metrics snapshot: the probe tables ([Trace.snapshot]) plus the
+   slow-request log. Schema versioned like the run-record schema; bump
+   on any shape change. This is one process's part — what a worker
+   answers to [metrics]; the parent merges its own with its shards'
+   ([merge_parts]). *)
 
-let metrics_schema_version = 1
+let metrics_schema_version = 2
 
 let metrics_payload () : (string * Json.t) list =
   let num i = Json.Num (float_of_int i) in
-  let counters =
-    Json.Obj
-      (List.map
-         (fun (name, c) ->
-           ( name,
-             Json.Obj
-               [ ("hits", num c.Obs.Probe.hits);
-                 ("total", Json.Num c.Obs.Probe.total);
-                 ("min", Json.Num c.Obs.Probe.vmin);
-                 ("max", Json.Num c.Obs.Probe.vmax) ] ))
-         (Obs.Probe.counters ()))
-  in
-  let gauges =
-    Json.Obj (List.map (fun (name, v) -> (name, Json.Num v)) (Obs.Probe.gauges ()))
-  in
-  let hists =
-    Json.Obj
-      (List.map
-         (fun (name, s) -> (name, Obs.Hist.summary_json s))
-         (Obs.Hist.all ()))
-  in
   let recent =
     let entries = Reqtrace.slow_entries () in
     let skip = List.length entries - 8 in
@@ -243,8 +222,7 @@ let metrics_payload () : (string * Json.t) list =
         ("count", num (Reqtrace.slow_count ()));
         ("recent", Json.Arr (List.map Reqtrace.slow_entry_to_json recent)) ]
   in
-  [ ("counters", counters); ("gauges", gauges); ("hists", hists);
-    ("slow", slow) ]
+  Trace.snapshot () @ [ ("slow", slow) ]
 
 (* ------------------------------------------------------------------ *)
 (* The per-request handler: every dispatcher runs it — on pool domains
@@ -532,164 +510,152 @@ let route ?(deadline_s : float option) ~(seq : int -> int option)
          rqs)
     |> List.map (fun (slot, outcome, dur) -> (slot, outcome, dur, -1))
 
-(* The shard replies that parsed, in shard order; a shard that missed
-   its deadline or was lost contributes nothing. *)
-let parsed_replies (replies : (int * Supervise.outcome) list) :
+(* The fields of [(shard, part)] objects grouped by name, each with
+   its [(shard, value)] list in part order; names in first-seen order,
+   or sorted with [~sorted:true]. *)
+let by_name ?(sorted = false) (parts : (int * Json.t) list) :
+    (string * (int * Json.t) list) list =
+  let names =
+    List.fold_left
+      (fun acc (_, part) ->
+        match part with
+        | Json.Obj fields ->
+          List.fold_left
+            (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
+            acc fields
+        | _ -> acc)
+      [] parts
+    |> List.rev
+  in
+  List.map
+    (fun k ->
+      ( k,
+        List.filter_map
+          (fun (shard, part) ->
+            Option.map (fun v -> (shard, v)) (Json.member k part))
+          parts ))
+    (if sorted then List.sort compare names else names)
+
+(* The one shard merge, for [stats] and [metrics] alike, all of it
+   order-independent: same-named numbers add (the store fields, each
+   counter), booleans OR, histograms bucket-merge. Gauges are NOT summed:
+   each shard's level was sampled at a different instant, so a merged
+   gauge reports the per-shard maximum, labelled with the shard that
+   holds it, plus the full per-shard list ([-1] is the parent). A client
+   wanting total store bytes across shards reads [stats.bytes], which
+   sums a consistent per-store field instead. Any other field keeps the
+   first part's value. *)
+let merge_parts (parts : (int * Json.t) list) : (string * Json.t) list =
+  let num i = Json.Num (float_of_int i) in
+  let value v = Option.value ~default:Float.nan (Json.to_num v) in
+  let sum vs =
+    Json.Num (List.fold_left (fun acc (_, v) -> acc +. value v) 0.0 vs)
+  in
+  let gauge per_shard =
+    let per_shard = List.map (fun (s, v) -> (s, value v)) per_shard in
+    let best_shard, best =
+      List.fold_left
+        (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
+        (List.hd per_shard) (List.tl per_shard)
+    in
+    Json.Obj
+      [ ("value", Json.Num best); ("shard", num best_shard);
+        ( "per_shard",
+          Json.Arr
+            (List.map (fun (s, v) -> Json.Arr [ num s; Json.Num v ]) per_shard)
+        ) ]
+  in
+  let hist hs =
+    Obs.Hist.summary_json
+      (List.fold_left Obs.Hist.merge Obs.Hist.empty
+         (List.filter_map (fun (_, h) -> Obs.Hist.of_json h) hs))
+  in
+  let table f vs =
+    Json.Obj (List.map (fun (k, v) -> (k, f v)) (by_name ~sorted:true vs))
+  in
+  List.map
+    (fun (field, vs) ->
+      ( field,
+        match (field, snd (List.hd vs)) with
+        | "counters", _ -> table sum vs
+        | "gauges", _ -> table gauge vs
+        | "hists", _ -> table hist vs
+        | _, Json.Num _ -> sum vs
+        | _, Json.Bool _ ->
+          Json.Bool (List.mem (Json.Bool true) (List.map snd vs))
+        | _, v -> v ))
+    (by_name parts)
+
+(* Fields the parent owns replace the merged ones in place; the rest
+   are appended. *)
+let override (fields : (string * Json.t) list) (own : (string * Json.t) list)
+    : (string * Json.t) list =
+  List.map
+    (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k own)))
+    fields
+  @ List.filter (fun (k, _) -> not (List.mem_assoc k fields)) own
+
+(* The worker pool's supervision fields, zero in-process. *)
+let supervision (pool : Supervise.t option) : (string * Json.t) list =
+  let sup f = Json.Num (float_of_int (Option.fold ~none:0 ~some:f pool)) in
+  [ ("workers", sup Supervise.size); ("workers_alive", sup Supervise.alive);
+    ("worker_restarts", sup Supervise.restarts);
+    ("worker_lost", sup Supervise.lost) ]
+
+(* The shards' parts, in shard order, without the response's id, ok
+   and ["__"] envelope fields; a shard that missed its deadline or was
+   lost contributes nothing. *)
+let shard_parts (replies : (int * Supervise.outcome) list) :
     (int * Json.t) list =
+  let payload (k, _) =
+    not (k = "id" || k = "ok" || String.starts_with ~prefix:"__" k)
+  in
   List.filter_map
     (fun (shard, o) ->
       match o with
       | Supervise.Reply l ->
-        Result.to_option (Json.parse l) |> Option.map (fun j -> (shard, j))
+        (match Json.parse l with
+        | Ok (Json.Obj fields) ->
+          Some (shard, Json.Obj (List.filter payload fields))
+        | _ -> None)
       | Supervise.Deadline _ | Supervise.Lost _ -> None)
     replies
 
-(* Aggregate [stats] across every shard: per-store numeric fields sum;
-   [faults] additionally counts the parent's own supervision faults;
-   pool-shape fields come from the parent, which owns the pool. *)
-let sum_fields =
-  [ "entries"; "bytes"; "budget"; "hits"; "misses"; "evictions";
-    "bypasses"; "restored"; "journal_entries"; "snapshots"; "faults" ]
-
-let merge_stats (pool : Supervise.t) (id : Json.t)
-    (replies : (int * Supervise.outcome) list) : Json.t =
-  let replies = parsed_replies replies in
-  let sum f =
-    List.fold_left
-      (fun acc (_, j) ->
-        acc +. Option.value ~default:0.0 (Option.bind (Json.member f j) Json.to_num))
-      0.0 replies
-  in
-  let num v = Json.Num v in
-  ok_response id
-    (List.map
-       (fun f ->
-         if f = "faults" then
-           (f, num (sum f +. float_of_int (Fault.count ())))
-         else (f, num (sum f)))
-       sum_fields
-    @ [ ("persisted",
-         Json.Bool
-           (List.exists
-              (fun (_, j) -> Json.member "persisted" j = Some (Json.Bool true))
-              replies));
-        ("jobs", num (float_of_int (Supervise.size pool)));
-        ("pool_size", Json.Null);
-        ("workers", num (float_of_int (Supervise.size pool)));
-        ("workers_alive", num (float_of_int (Supervise.alive pool)));
-        ("worker_restarts", num (float_of_int (Supervise.restarts pool)));
-        ("worker_lost", num (float_of_int (Supervise.lost pool)));
-        ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ])
-
-(* Aggregate [metrics] across the parent and every shard (none
-   in-process). Counters are
-   sums (hits and totals add; min-of-mins, max-of-maxes) and histograms
-   are bucket merges — both order-independent. Gauges are NOT summed:
-   each shard's level was sampled at a different instant, so the merged
-   entry reports the per-shard maximum, labelled with the shard that
-   holds it, plus the full per-shard list ([[-1, v] is the parent). A
-   client wanting total store bytes across shards reads [stats.bytes],
-   which sums a consistent per-store field instead. *)
-let merge_metrics (pool : Supervise.t option) (id : Json.t)
-    (replies : (int * Supervise.outcome) list) : Json.t =
+(* [stats] across every shard: the parent opens no store, so only the
+   shards' parts merge. [faults] is the parent's count — a worker's
+   faults reach it through ["__faults"], so a worker's own [stats]
+   reply says 0 — and the pool fields are the parent's too. *)
+let sharded_stats (pool : Supervise.t)
+    (replies : (int * Supervise.outcome) list) : (string * Json.t) list =
   let num i = Json.Num (float_of_int i) in
-  let sup f = num (Option.fold ~none:0 ~some:f pool) in
-  let fnum field j = Option.bind (Json.member field j) Json.to_num in
-  let parent = Json.Obj (metrics_payload ()) in
-  let counters : (string, float * float * float * float) Hashtbl.t =
-    Hashtbl.create 64
+  override
+    (merge_parts (shard_parts replies))
+    ([ ("jobs", num (Supervise.size pool)); ("pool_size", Json.Null);
+       ("faults", num (Fault.count ()));
+       ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+    @ supervision (Some pool))
+
+(* [metrics] across the parent and every shard (none in-process). The
+   slow log lives in the parent: slow detection times the whole round
+   trip, and only the parent holds merged trees. *)
+let merged_metrics (pool : Supervise.t option)
+    (replies : (int * Supervise.outcome) list) : (string * Json.t) list =
+  let num i = Json.Num (float_of_int i) in
+  let shards =
+    List.map
+      (fun (ss : Supervise.shard_state) ->
+        Json.Obj
+          [ ("shard", num ss.Supervise.ss_shard);
+            ("alive", Json.Bool ss.Supervise.ss_alive);
+            ("crashes", num ss.Supervise.ss_crashes);
+            ("broken", Json.Bool ss.Supervise.ss_broken);
+            ("restarts", num ss.Supervise.ss_restarts) ])
+      (Option.fold ~none:[] ~some:Supervise.shard_states pool)
   in
-  let gauges : (string, (int * float) list) Hashtbl.t = Hashtbl.create 16 in
-  let hists : (string, Obs.Hist.snapshot) Hashtbl.t = Hashtbl.create 16 in
-  let fold_obj j field f =
-    match Json.member field j with
-    | Some (Json.Obj entries) -> List.iter f entries
-    | _ -> ()
-  in
-  List.iter
-    (fun (shard, j) ->
-      fold_obj j "counters" (fun (name, c) ->
-          match (fnum "hits" c, fnum "total" c, fnum "min" c, fnum "max" c)
-          with
-          | Some h, Some t, Some mn, Some mx ->
-            let merged =
-              match Hashtbl.find_opt counters name with
-              | None -> (h, t, mn, mx)
-              | Some (h0, t0, mn0, mx0) ->
-                (h0 +. h, t0 +. t, Float.min mn0 mn, Float.max mx0 mx)
-            in
-            Hashtbl.replace counters name merged
-          | _ -> ());
-      fold_obj j "gauges" (fun (name, g) ->
-          match Json.to_num g with
-          | Some v ->
-            Hashtbl.replace gauges name
-              (Option.value ~default:[] (Hashtbl.find_opt gauges name)
-              @ [ (shard, v) ])
-          | None -> ());
-      fold_obj j "hists" (fun (name, h) ->
-          match Obs.Hist.of_json h with
-          | Some s ->
-            let s0 =
-              Option.value ~default:Obs.Hist.empty (Hashtbl.find_opt hists name)
-            in
-            Hashtbl.replace hists name (Obs.Hist.merge s0 s)
-          | None -> ()))
-    ((-1, parent) :: parsed_replies replies);
-  let sorted tbl f =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (k, v) -> (k, f v))
-  in
-  let counters_json =
-    Json.Obj
-      (sorted counters (fun (h, t, mn, mx) ->
-           Json.Obj
-             [ ("hits", Json.Num h); ("total", Json.Num t);
-               ("min", Json.Num mn); ("max", Json.Num mx) ]))
-  in
-  let gauges_json =
-    Json.Obj
-      (sorted gauges (fun per_shard ->
-           let best_shard, best =
-             List.fold_left
-               (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
-               (List.hd per_shard) (List.tl per_shard)
-           in
-           Json.Obj
-             [ ("value", Json.Num best); ("shard", num best_shard);
-               ( "per_shard",
-                 Json.Arr
-                   (List.map
-                      (fun (s, v) -> Json.Arr [ num s; Json.Num v ])
-                      per_shard) ) ]))
-  in
-  let hists_json = Json.Obj (sorted hists Obs.Hist.summary_json) in
-  let shards_json =
-    Json.Arr
-      (List.map
-         (fun (ss : Supervise.shard_state) ->
-           Json.Obj
-             [ ("shard", num ss.Supervise.ss_shard);
-               ("alive", Json.Bool ss.Supervise.ss_alive);
-               ("crashes", num ss.Supervise.ss_crashes);
-               ("broken", Json.Bool ss.Supervise.ss_broken);
-               ("restarts", num ss.Supervise.ss_restarts) ])
-         (Option.fold ~none:[] ~some:Supervise.shard_states pool))
-  in
-  ok_response id
-    [ ("schema", num metrics_schema_version);
-      ("counters", counters_json);
-      ("gauges", gauges_json);
-      ("hists", hists_json);
-      (* The slow log lives in the parent: slow detection times the
-         whole round trip, and only the parent holds merged trees. *)
-      ("slow", Option.value ~default:Json.Null (Json.member "slow" parent));
-      ("workers", sup Supervise.size);
-      ("workers_alive", sup Supervise.alive);
-      ("worker_restarts", sup Supervise.restarts);
-      ("worker_lost", sup Supervise.lost);
-      ("shards", shards_json);
+  (("schema", num metrics_schema_version)
+  :: merge_parts ((-1, Json.Obj (metrics_payload ())) :: shard_parts replies))
+  @ supervision pool
+  @ [ ("shards", Json.Arr shards);
       ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
 
 (* The verbs the parent owns. In-process, [stats] and a store-wide
@@ -715,10 +681,11 @@ let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
       Parallel.set_jobs (int_of_float n);
       ok_response rq.rq_id
         [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ])
-  | "stats", Sharded pool -> merge_stats pool rq.rq_id (broadcast pool)
-  | "metrics", Local -> merge_metrics None rq.rq_id []
+  | "stats", Sharded pool ->
+    ok_response rq.rq_id (sharded_stats pool (broadcast pool))
+  | "metrics", Local -> ok_response rq.rq_id (merged_metrics None [])
   | "metrics", Sharded pool ->
-    merge_metrics (Some pool) rq.rq_id (broadcast pool)
+    ok_response rq.rq_id (merged_metrics (Some pool) (broadcast pool))
   | "invalidate", Sharded pool ->
     ignore (broadcast pool);
     ok_response rq.rq_id [ ("cleared", Json.Bool true) ]

@@ -1,6 +1,7 @@
 (* Aggregation and reporting over the Obs.Probe recording layer. *)
 
 module Probe = Obs.Probe
+module Json = Obs.Json
 
 let enable () = Probe.set_enabled true
 let enabled = Probe.enabled
@@ -97,14 +98,8 @@ let render_tree () : string =
   if counters <> [] then begin
     Buffer.add_string buf "trace: counters\n";
     List.iter
-      (fun (name, (c : Probe.counter)) ->
-        if c.Probe.vmin = 1.0 && c.Probe.vmax = 1.0 then
-          Buffer.add_string buf
-            (Printf.sprintf "  %-40s %10d\n" name c.Probe.hits)
-        else
-          Buffer.add_string buf
-            (Printf.sprintf "  %-40s %10d  total %.6g  min %.6g  max %.6g\n"
-               name c.Probe.hits c.Probe.total c.Probe.vmin c.Probe.vmax))
+      (fun (name, n) ->
+        Buffer.add_string buf (Printf.sprintf "  %-40s %10d\n" name n))
       counters
   end;
   let gauges = Probe.gauges () in
@@ -125,30 +120,13 @@ let render_tree () : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON export. Hand-rolled: the repository deliberately has no JSON
-   dependency, and the document is flat. *)
+(* JSON export. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no NaN/Infinity; counters observing them must not corrupt
-   the document. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.6g" v
-  else Printf.sprintf "\"%s\"" (string_of_float v)
+let snapshot () : (string * Json.t) list =
+  let obj f l = Json.Obj (List.map (fun (name, v) -> (name, f v)) l) in
+  [ ("counters", obj (fun n -> Json.Num (float_of_int n)) (Probe.counters ()));
+    ("gauges", obj (fun v -> Json.Num v) (Probe.gauges ()));
+    ("hists", obj Obs.Hist.summary_json (Obs.Hist.all ())) ]
 
 let metrics_json () : string =
   let roots, children = span_tables () in
@@ -163,64 +141,21 @@ let metrics_json () : string =
       nodes
   in
   walk "" (aggregate roots children);
-  let rows = List.sort compare (List.rev !rows) in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"jobs\": %d,\n" (Parallel.jobs ()));
-  Buffer.add_string buf "  \"spans\": [\n";
-  List.iteri
-    (fun i (path, count, total_ms) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"path\": \"%s\", \"count\": %d, \"total_ms\": %s}%s\n"
-           (json_escape path) count (json_float total_ms)
-           (if i < List.length rows - 1 then "," else "")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"counters\": [\n";
-  let counters = Probe.counters () in
-  List.iteri
-    (fun i (name, (c : Probe.counter)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"hits\": %d, \"total\": %s, \"min\": \
-            %s, \"max\": %s}%s\n"
-           (json_escape name) c.Probe.hits (json_float c.Probe.total)
-           (json_float c.Probe.vmin) (json_float c.Probe.vmax)
-           (if i < List.length counters - 1 then "," else "")))
-    counters;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"gauges\": [\n";
-  let gauges = Probe.gauges () in
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": \"%s\", \"value\": %s}%s\n"
-           (json_escape name) (json_float v)
-           (if i < List.length gauges - 1 then "," else "")))
-    gauges;
-  Buffer.add_string buf "  ],\n";
-  (* Every degradation the run recorded, in the deterministic
-     [Fault.sorted] order — the chaos CI job archives this document as
-     its fault-summary artifact. *)
-  Buffer.add_string buf "  \"faults\": [\n";
-  let faults = Fault.sorted () in
-  List.iteri
-    (fun i (f : Fault.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"stage\": \"%s\", \"subject\": \"%s\", \"detail\": \
-            \"%s\", \"exn\": \"%s\", \"recovery\": \"%s\"}%s\n"
-           (json_escape (Fault.stage_to_string f.Fault.f_stage))
-           (json_escape f.Fault.f_subject)
-           (json_escape f.Fault.f_detail)
-           (json_escape f.Fault.f_exn)
-           (json_escape f.Fault.f_recovery)
-           (if i < List.length faults - 1 then "," else "")))
-    faults;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let span_json (path, count, total_ms) =
+    Json.Obj
+      [ ("path", Json.Str path); ("count", Json.Num (float_of_int count));
+        ("total_ms", Json.Num total_ms) ]
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("jobs", Json.Num (float_of_int (Parallel.jobs ())));
+          ("spans", Json.Arr (List.map span_json (List.sort compare !rows))) ]
+       @ snapshot ()
+       (* Every degradation the run recorded, in the deterministic
+          [Fault.sorted] order — the chaos CI job archives this document
+          as its fault-summary artifact. *)
+       @ [ ("faults",
+            Json.Arr (List.map Run_record.fault_to_json (Fault.sorted ()))) ]))
 
 (* ------------------------------------------------------------------ *)
 

@@ -21,19 +21,25 @@ val with_span : string -> (unit -> 'a) -> 'a
 val render_tree : unit -> string
 (** The recorded spans as a human-readable tree: spans are merged by
     span id (never completion order), grouped by label under their
-    parent, and reported as [count × total-time]. Counters follow,
-    sorted by name; then the fault summary ({!Fault.summary}), present
-    only when the run degraded somewhere. *)
+    parent, and reported as [count × total-time]. Counters (one number
+    each) and gauges follow, sorted by name; then the fault summary
+    ({!Fault.summary}), present only when the run degraded somewhere. *)
+
+val snapshot : unit -> (string * Obs.Json.t) list
+(** This process's probe tables as three objects, each sorted by name:
+    [counters] (name → count), [gauges] (name → last value) and [hists]
+    (name → {!Obs.Hist.summary_json}). The [--metrics-out] document and
+    the serve daemon's [metrics] verb both carry it. *)
 
 val metrics_json : unit -> string
-(** The recorded spans, counters and faults as a JSON document:
-    [{"jobs": n, "spans": [{"path", "count", "total_ms"} ...],
-      "counters": [{"name", "hits", "total", "min", "max"} ...],
-      "faults": [{"stage", "subject", "detail", "exn", "recovery"} ...]}].
+(** The recorded spans, the {!snapshot} and the faults as a JSON
+    document: [{"jobs": n, "spans": [{"path", "count", "total_ms"} ...],
+    "counters": {..}, "gauges": {..}, "hists": {..},
+    "faults": [{"stage", "subject", "detail", "exn", "recovery"} ...]}].
     Span paths are slash-joined label chains, sorted lexicographically;
-    counters are sorted by name; faults follow the deterministic
-    {!Fault.sorted} order ([[]] when the run was healthy) — the document
-    layout is deterministic for a given execution structure. *)
+    faults follow the deterministic {!Fault.sorted} order ([[]] when the
+    run was healthy) — the document layout is deterministic for a given
+    execution structure. *)
 
 val with_reporting :
   trace:bool -> metrics_out:string option -> (unit -> 'a) -> 'a

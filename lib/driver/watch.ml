@@ -58,8 +58,8 @@ let render ?(prev : (float * Json.t) option) (j : Json.t) : string =
     line "latency   p50 %s  p90 %s  p99 %s  p999 %s  max %s"
       (fmt_ms (q "p50")) (fmt_ms (q "p90")) (fmt_ms (q "p99"))
       (fmt_ms (q "p999")) (fmt_ms (q "max")));
-  let hits = get [ "counters"; "incr.hit"; "hits" ] in
-  let misses = get [ "counters"; "incr.miss"; "hits" ] in
+  let hits = get [ "counters"; "incr.hit" ] in
+  let misses = get [ "counters"; "incr.miss" ] in
   let lookups = hits +. misses in
   let hit_rate =
     if lookups > 0.0 then Printf.sprintf "%.1f%%" (100.0 *. hits /. lookups)

@@ -225,10 +225,10 @@ let gauss_seidel ~(epsilon : float) (a : Csr.t) (b : float array)
       end
       else begin
         let sweeps = (!updates + n - 1) / n in
-        Obs.Probe.observe "linsolve.gs.sweeps" (float_of_int sweeps);
-        Obs.Probe.observe "linsolve.gs.relaxations" (float_of_int !updates);
-        Obs.Probe.observe "linsolve.gs.sccs" (float_of_int nscc);
-        Obs.Probe.observe "linsolve.gs.residual" (residual a b x);
+        Obs.Hist.observe "linsolve.gs.sweeps" sweeps;
+        Obs.Hist.observe "linsolve.gs.relaxations" !updates;
+        Obs.Hist.observe "linsolve.gs.sccs" nscc;
+        Obs.Probe.set_gauge "linsolve.gs.residual" (residual a b x);
         Converged sweeps
       end
     end
@@ -277,7 +277,7 @@ let power ~(epsilon : float) (a : Csr.t) (b : float array) (x : float array)
   let out = match !finished with Some o -> o | None -> Diverged in
   (match out with
   | Converged iters ->
-      Obs.Probe.observe "linsolve.power.iters" (float_of_int iters);
-      Obs.Probe.observe "linsolve.power.residual" (residual a b x)
+      Obs.Hist.observe "linsolve.power.iters" iters;
+      Obs.Probe.set_gauge "linsolve.power.residual" (residual a b x)
   | Diverged -> Obs.Probe.count "linsolve.power.diverged");
   out

@@ -81,6 +81,7 @@ let solve_inplace (m : Matrix.t) (x : float array) : float array =
     if v > !scale then scale := v
   done;
   let threshold = epsilon *. if !scale > 0.0 then !scale else 1.0 in
+  let min_pivot = ref infinity in
   for col = 0 to n - 1 do
     (* partial pivot: largest |value| in this column at or below [col] *)
     let pivot_row = ref col in
@@ -93,7 +94,7 @@ let solve_inplace (m : Matrix.t) (x : float array) : float array =
       Obs.Probe.count "linsolve.singular";
       raise (Singular col)
     end;
-    Obs.Probe.observe "linsolve.pivot" (abs_float pivot);
+    min_pivot := Float.min !min_pivot (abs_float pivot);
     if !pivot_row <> col then begin
       for j = 0 to n - 1 do
         let tmp = data.(idx col j) in
@@ -116,6 +117,7 @@ let solve_inplace (m : Matrix.t) (x : float array) : float array =
       end
     done
   done;
+  Obs.Probe.set_gauge "linsolve.pivot" !min_pivot;
   (* back substitution *)
   for row = n - 1 downto 0 do
     let s = ref x.(row) in

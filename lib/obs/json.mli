@@ -1,11 +1,11 @@
 (** Minimal dependency-free JSON: value type, strict parser, printer.
 
     The repository deliberately has no JSON library dependency. The
-    observability layer hand-rolls its *writers* per schema (they are
-    flat and simple); this module exists because the run-record /
-    baseline-drift machinery also has to {e read} those documents back,
-    and so do the tests. It sits at the bottom of the tree so both the
-    driver and the test binary can use the same reader.
+    run records, the [--metrics-out] document and the serve protocol
+    are built as {!t} values and printed here; the run-record /
+    baseline-drift machinery and the tests read them back with the same
+    parser. It sits at the bottom of the tree so both the driver and
+    the test binary can use it.
 
     The parser is strict RFC-8259 syntax (no trailing commas, no
     comments, a single top-level value). Object fields keep document

@@ -83,46 +83,24 @@ let spans () : span list =
   |> List.sort (fun a b -> compare a.id b.id)
 
 (* ------------------------------------------------------------------ *)
-(* Counters. *)
-
-type counter = { hits : int; total : float; vmin : float; vmax : float }
-
-type cell = {
-  mutable hits' : int;
-  mutable total' : float;
-  mutable vmin' : float;
-  mutable vmax' : float;
-}
+(* Counters: plain event tallies. *)
 
 let counter_lock = Mutex.create ()
-let counter_table : (string, cell) Hashtbl.t = Hashtbl.create 64
+let counter_table : (string, int ref) Hashtbl.t = Hashtbl.create 64
 
-let observe name v =
+let count name =
   if enabled () then begin
     Mutex.lock counter_lock;
     (match Hashtbl.find_opt counter_table name with
-    | Some c ->
-      c.hits' <- c.hits' + 1;
-      c.total' <- c.total' +. v;
-      if v < c.vmin' then c.vmin' <- v;
-      if v > c.vmax' then c.vmax' <- v
-    | None ->
-      Hashtbl.replace counter_table name
-        { hits' = 1; total' = v; vmin' = v; vmax' = v });
+    | Some c -> incr c
+    | None -> Hashtbl.replace counter_table name (ref 1));
     Mutex.unlock counter_lock
   end
 
-let count name = observe name 1.0
-
-let counters () : (string * counter) list =
+let counters () : (string * int) list =
   Mutex.lock counter_lock;
   let entries =
-    Hashtbl.fold
-      (fun name c acc ->
-        (name, { hits = c.hits'; total = c.total'; vmin = c.vmin';
-                 vmax = c.vmax' })
-        :: acc)
-      counter_table []
+    Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counter_table []
   in
   Mutex.unlock counter_lock;
   List.sort (fun (a, _) (b, _) -> compare a b) entries

@@ -74,31 +74,21 @@ val spans : unit -> span list
 
 (** {1 Counters}
 
-    A counter accumulates the number of observations and the sum, min
-    and max of the observed values. [count] is [observe 1.0] — a plain
-    event tally. *)
+    A counter is a plain event tally: [count] adds one. Distributions go
+    to {!Hist}, levels to the gauges below. *)
 
 val count : string -> unit
-val observe : string -> float -> unit
 
-type counter = {
-  hits : int;           (** number of observations *)
-  total : float;        (** sum of observed values *)
-  vmin : float;         (** smallest observed value *)
-  vmax : float;         (** largest observed value *)
-}
-
-val counters : unit -> (string * counter) list
-(** All counters with at least one observation, sorted by name. *)
+val counters : unit -> (string * int) list
+(** All counters with at least one event, sorted by name. *)
 
 (** {1 Gauges}
 
     A gauge holds the {e last} value written — a level, not an event
-    tally (bytes resident in a cache, depth of a pending queue). Unlike
-    a counter it can go down, and reading it answers "what is the value
-    now", which min/max/total summaries of {!observe} cannot. Writers
-    typically pair {!set_gauge} with an {!observe} of the same name when
-    the update history matters too. *)
+    tally (bytes resident in a cache, depth of a pending queue, the
+    smallest pivot of the last solve). Unlike a counter it can go down,
+    and reading it answers "what is the value now". A writer that needs
+    the history of a value records it into a {!Hist} instead. *)
 
 val set_gauge : string -> float -> unit
 (** Record the current level of a named gauge (last write wins). *)

@@ -2,7 +2,7 @@
 
    Every counter, gauge and histogram the tree emits through Probe/Hist
    is declared here with its kind and meaning; the DESIGN.md telemetry
-   table is generated from the same data, and a test walks a full chaos
+   table is kept in step with it by hand, and a test walks a full chaos
    suite run asserting every emitted name resolves against this table —
    a silent metric rename breaks the build the same way a score drift
    does. Names with a dynamic tail (per-domain task tallies, per-stage
@@ -75,7 +75,8 @@ let entries : entry list =
     exact "incr.bypass" Counter
       "lookups bypassed because deadline pressure disabled the store";
     exact "incr.bytes" Gauge "current resident bytes of the incremental store";
-    exact "incr.restored" Counter "entries restored from a persisted snapshot";
+    exact "incr.restored" Gauge
+      "entries restored from the persisted store at the last open";
     exact "incr.analyze.ns" Hist
       "latency of one Incr.analyze call, cache hits included (units: ns)";
     (* linear solvers *)
@@ -83,27 +84,28 @@ let entries : entry list =
     exact "linsolve.solve.ns" Hist
       "latency of one linear solve, dense or sparse (units: ns)";
     exact "linsolve.singular" Counter "solves that hit a singular system";
-    exact "linsolve.pivot" Counter "smallest pivot magnitude per dense solve";
+    exact "linsolve.pivot" Gauge
+      "smallest pivot magnitude of the last dense solve";
     exact "linsolve.sparse.solve" Counter "sparse iterative solves";
     exact "linsolve.fallback.power" Counter
       "sparse solves that fell back to power iteration";
     exact "linsolve.fallback.dense" Counter
       "sparse solves that fell back to dense LU";
     exact "linsolve.gs.diverged" Counter "Gauss-Seidel divergence bailouts";
-    exact "linsolve.gs.sweeps" Counter "Gauss-Seidel sweeps per solve";
-    exact "linsolve.gs.relaxations" Counter
+    exact "linsolve.gs.sweeps" Hist "Gauss-Seidel sweeps per solve";
+    exact "linsolve.gs.relaxations" Hist
       "Gauss-Seidel relaxation steps per solve";
-    exact "linsolve.gs.sccs" Counter
+    exact "linsolve.gs.sccs" Hist
       "strongly connected components per Gauss-Seidel solve";
-    exact "linsolve.gs.residual" Counter
-      "final Gauss-Seidel residual per solve";
-    exact "linsolve.power.iters" Counter "power-iteration rounds per solve";
-    exact "linsolve.power.residual" Counter
-      "final power-iteration residual per solve";
+    exact "linsolve.gs.residual" Gauge
+      "final residual of the last Gauss-Seidel solve";
+    exact "linsolve.power.iters" Hist "power-iteration rounds per solve";
+    exact "linsolve.power.residual" Gauge
+      "final residual of the last power-iteration solve";
     exact "linsolve.power.diverged" Counter "power-iteration divergences";
     exact "scratch.grow" Counter "scratch arena reallocations";
     (* markov estimators *)
-    exact "markov_intra.solve_n" Counter
+    exact "markov_intra.solve_n" Hist
       "system size per intraprocedural Markov solve";
     exact "markov_intra.damping_retry" Counter
       "intra solves retried with damping";
@@ -112,7 +114,7 @@ let entries : entry list =
     exact "markov_intra.flat_fallback" Counter
       "intra solves replaced by flat frequencies";
     exact "markov_inter.self_arc_clamp" Counter
-      "self-recursion arcs clamped per interprocedural solve";
+      "self-recursion arcs clamped by the interprocedural solver";
     exact "markov_inter.invalid_solve" Counter
       "interprocedural solves rejected as invalid";
     exact "markov_inter.scc_scale_step" Counter

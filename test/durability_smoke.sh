@@ -146,7 +146,7 @@ n_served="$(grep -c '"ok":true' "$dir/telemetry.out" || true)"
 printf '{"id":9,"op":"metrics"}\n' \
   | "$BIN" serve --connect "$dir/sock" > "$dir/metrics.out"
 grep -q '"ok":true' "$dir/metrics.out"   || fail "metrics verb not ok"
-grep -q '"schema":1' "$dir/metrics.out"  || fail "metrics snapshot lacks its schema version"
+grep -q '"schema":2' "$dir/metrics.out"  || fail "metrics snapshot lacks its schema version"
 grep -q '"workers":2' "$dir/metrics.out" || fail "metrics snapshot lacks the worker count"
 req_count="$(sed -n 's/.*"serve\.request\.ns":{"count":\([0-9][0-9]*\).*/\1/p' "$dir/metrics.out")"
 [ "$req_count" = "8" ] || fail "serve.request.ns counted $req_count requests (want 8)"

@@ -139,19 +139,19 @@ let test_metrics_doc_readable () =
       Obs.Probe.reset ())
     (fun () ->
       Obs.Probe.with_span "stage" (fun () ->
-          Obs.Probe.observe "odd \"name\"\n" nan);
+          Obs.Probe.set_gauge "odd \"name\"\n" nan);
       let doc = Driver.Trace.metrics_json () in
       let j = Json.parse_exn doc in
       (match Json.member "spans" j with
       | Some (Json.Arr (_ :: _)) -> ()
       | _ -> Alcotest.fail "spans array missing or empty");
-      (match Json.member "counters" j with
-      | Some (Json.Arr [ c ]) ->
-        Alcotest.(check (option string))
-          "counter name decodes through escapes"
-          (Some "odd \"name\"\n")
-          (Option.bind (Json.member "name" c) Json.to_str)
-      | _ -> Alcotest.fail "expected exactly one counter");
+      (match Json.member "gauges" j with
+      | Some (Json.Obj [ (name, v) ]) ->
+        Alcotest.(check string) "gauge name decodes through escapes"
+          "odd \"name\"\n" name;
+        Alcotest.(check bool) "non-finite level reads back" true
+          (Option.fold ~none:false ~some:Float.is_nan (Json.to_num v))
+      | _ -> Alcotest.fail "expected exactly one gauge");
       match Option.bind (Json.member "jobs" j) Json.to_num with
       | Some _ -> ()
       | None -> Alcotest.fail "jobs field missing")

@@ -395,7 +395,7 @@ let test_metrics_verb () =
   match responses with
   | [ _; m; _ ] ->
     Alcotest.(check bool) "metrics response is ok" true (ok_of m);
-    Alcotest.(check (float 0.0)) "schema version" 1.0 (num_field "schema" m);
+    Alcotest.(check (float 0.0)) "schema version" 2.0 (num_field "schema" m);
     let hists = member_obj "hists" m in
     let request_hist = member_obj "serve.request.ns" hists in
     Alcotest.(check (float 0.0))

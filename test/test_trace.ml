@@ -9,6 +9,7 @@
 module Probe = Obs.Probe
 module Trace = Driver.Trace
 module Parallel = Driver.Parallel
+module Json = Obs.Json
 
 (* Each test starts and ends with a clean, disabled recorder so the rest
    of the alcotest binary never sees probe state. *)
@@ -59,20 +60,22 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no spans" 0 (List.length (Probe.spans ()));
   Alcotest.(check int) "no counters" 0 (List.length (Probe.counters ()))
 
+(* Counts from four pool domains at once lose nothing. *)
 let test_counters () =
   with_recording (fun () ->
-      Probe.observe "pivot" 3.0;
-      Probe.observe "pivot" 1.0;
-      Probe.observe "pivot" 2.0;
-      Probe.count "events";
-      match Probe.counters () with
-      | [ ("events", e); ("pivot", p) ] ->
-        Alcotest.(check int) "event hits" 1 e.Probe.hits;
-        Alcotest.(check int) "pivot hits" 3 p.Probe.hits;
-        Alcotest.(check (float 1e-12)) "pivot total" 6.0 p.Probe.total;
-        Alcotest.(check (float 1e-12)) "pivot min" 1.0 p.Probe.vmin;
-        Alcotest.(check (float 1e-12)) "pivot max" 3.0 p.Probe.vmax
-      | l -> Alcotest.failf "unexpected counter set (%d)" (List.length l))
+      Parallel.set_jobs 4;
+      Fun.protect
+        ~finally:(fun () -> Parallel.set_jobs 1)
+        (fun () ->
+          ignore
+            (Parallel.map
+               (fun _ ->
+                 for _ = 1 to 10_000 do
+                   Probe.count "events"
+                 done)
+               [ 1; 2; 3; 4 ]);
+          Alcotest.(check (option int)) "4 × 10 000 counts" (Some 40_000)
+            (List.assoc_opt "events" (Probe.counters ()))))
 
 let test_reset () =
   with_recording (fun () ->
@@ -134,13 +137,13 @@ let test_json_checker_self_test () =
 (* --- trace rendering -------------------------------------------------- *)
 
 (* Record a realistic little workload: a solver call under a pipeline
-   stage, plus counters, including values JSON cannot represent. *)
+   stage, plus gauges holding values JSON cannot represent. *)
 let record_sample () =
   Probe.with_span "stage" (fun () ->
       let a = Linalg.Matrix.of_rows [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
       ignore (Linalg.Linsolve.solve a [| 5.0; 10.0 |]));
-  Probe.observe "weird \"name\"\n" infinity;
-  Probe.observe "weird \"name\"\n" nan
+  Probe.set_gauge "weird \"name\"\n" infinity;
+  Probe.set_gauge "weird \"name\"\n" nan
 
 let test_render_tree () =
   with_recording (fun () ->
@@ -168,6 +171,47 @@ let test_metrics_json_valid () =
             true (contains json needle))
         [ {|"jobs"|}; {|"spans"|}; {|"counters"|}; "stage/linsolve";
           "linsolve.pivot" ])
+
+(* One process state, two readers: the counters, gauges and histograms
+   of the [--metrics-out] document are those of the in-process [metrics]
+   verb (whose gauges carry their level under ["value"]). Probes are off
+   while both read, so neither reading records anything. *)
+let test_metrics_json_matches_verb () =
+  Obs.Hist.reset ();
+  with_recording (fun () ->
+      record_sample ();
+      Probe.count "events";
+      Probe.set_enabled false;
+      let doc = Json.parse_exn (Trace.metrics_json ()) in
+      let verb =
+        match
+          Driver.Serve.handle_batch (ref false) [ {|{"id":1,"op":"metrics"}|} ]
+        with
+        | [ line ] -> Json.parse_exn line
+        | l -> Alcotest.failf "expected one response, got %d" (List.length l)
+      in
+      Obs.Hist.reset ();
+      let field name j =
+        match Json.member name j with
+        | Some (Json.Obj fields) -> fields
+        | _ -> Alcotest.failf "%s is not an object" name
+      in
+      let same name a b =
+        Alcotest.(check string) name
+          (Json.to_compact_string (Json.Obj a))
+          (Json.to_compact_string (Json.Obj b))
+      in
+      same "counters" (field "counters" doc) (field "counters" verb);
+      same "gauges" (field "gauges" doc)
+        (List.map
+           (fun (k, g) ->
+             (k, Option.value ~default:Json.Null (Json.member "value" g)))
+           (field "gauges" verb));
+      same "hists" (field "hists" doc) (field "hists" verb);
+      Alcotest.(check bool) "the sample reached every kind" true
+        (List.for_all
+           (fun k -> field k doc <> [])
+           [ "counters"; "gauges"; "hists" ]))
 
 (* The documented end-to-end entry point: reporting runs even when the
    traced computation raises, and the JSON lands on disk. *)
@@ -206,5 +250,7 @@ let suite =
       test_json_checker_self_test;
     Alcotest.test_case "render tree" `Quick test_render_tree;
     Alcotest.test_case "metrics json is valid" `Quick test_metrics_json_valid;
+    Alcotest.test_case "metrics json matches the metrics verb" `Quick
+      test_metrics_json_matches_verb;
     Alcotest.test_case "reporting survives failure" `Quick
       test_with_reporting_on_failure ]
