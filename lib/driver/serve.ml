@@ -586,15 +586,6 @@ let merge_parts (parts : (int * Json.t) list) : (string * Json.t) list =
         | _, v -> v ))
     (by_name parts)
 
-(* Fields the parent owns replace the merged ones in place; the rest
-   are appended. *)
-let override (fields : (string * Json.t) list) (own : (string * Json.t) list)
-    : (string * Json.t) list =
-  List.map
-    (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k own)))
-    fields
-  @ List.filter (fun (k, _) -> not (List.mem_assoc k fields)) own
-
 (* The worker pool's supervision fields, zero in-process. *)
 let supervision (pool : Supervise.t option) : (string * Json.t) list =
   let sup f = Json.Num (float_of_int (Option.fold ~none:0 ~some:f pool)) in
@@ -622,18 +613,22 @@ let shard_parts (replies : (int * Supervise.outcome) list) :
     replies
 
 (* [stats] across every shard: the parent opens no store, so only the
-   shards' parts merge. [faults] is the parent's count — a worker's
-   faults reach it through ["__faults"], so a worker's own [stats]
-   reply says 0 — and the pool fields are the parent's too. *)
+   shards' parts merge. The pool fields are the parent's, and so is
+   [faults] — a worker's faults reach it through ["__faults"], so a
+   worker's own [stats] reply says 0. *)
 let sharded_stats (pool : Supervise.t)
     (replies : (int * Supervise.outcome) list) : (string * Json.t) list =
   let num i = Json.Num (float_of_int i) in
-  override
+  let own =
+    [ ("jobs", num (Supervise.size pool)); ("pool_size", Json.Null);
+      ("faults", num (Fault.count ()));
+      ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+    @ supervision (Some pool)
+  in
+  List.filter
+    (fun (k, _) -> not (List.mem_assoc k own))
     (merge_parts (shard_parts replies))
-    ([ ("jobs", num (Supervise.size pool)); ("pool_size", Json.Null);
-       ("faults", num (Fault.count ()));
-       ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
-    @ supervision (Some pool))
+  @ own
 
 (* [metrics] across the parent and every shard (none in-process). The
    slow log lives in the parent: slow detection times the whole round
