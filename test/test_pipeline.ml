@@ -128,6 +128,47 @@ let test_worked_example_experiments () =
       Alcotest.(check bool) (id ^ " non-empty") true (String.length text > 100))
     [ "table2"; "fig3"; "fig6_7" ]
 
+(* The front end's observable output over the suite and a fixed corpus
+   sample, folded into one digest: per program the token count, the AST
+   node count, every function's content hash and the address-taken
+   census. Rewrites of the lexer, parser, [Fnhash] or call graph that
+   claim to change nothing must keep this constant. *)
+let front_end_digest () =
+  let buf = Buffer.create 65536 in
+  let add_program name source =
+    let pre = Cfront.Preproc.process ~defines:[ ("NULL", "0"); ("EOF", "(-1)") ] source in
+    let tokens = List.length (Cfront.Lexer.tokenize ~file:(name ^ ".c") pre) in
+    let c = Pipeline.compile ~name source in
+    Printf.bprintf buf "%s tokens=%d nodes=%d\n" name tokens
+      c.Pipeline.tc.Cfront.Typecheck.tunit.Cfront.Ast.node_count;
+    List.iter
+      (fun fn -> Printf.bprintf buf " %s=%s\n" fn.Cfg.fn_name (Pipeline.fn_hash c fn))
+      c.Pipeline.prog.Cfg.prog_fns;
+    List.iter
+      (fun (f, n) -> Printf.bprintf buf " &%s=%d\n" f n)
+      (Cfg_ir.Callgraph.address_taken_list c.Pipeline.graph)
+  in
+  List.iter
+    (fun (p : Suite.Bench_prog.t) ->
+      add_program p.Suite.Bench_prog.name p.Suite.Bench_prog.source)
+    Suite.Registry.all;
+  let classes = Array.of_list Corpus.Shape.all_classes in
+  for seed = 1 to 3 do
+    for k = 0 to 39 do
+      let cls = classes.(k mod Array.length classes) in
+      let index = k / Array.length classes in
+      let size = if index mod 2 = 0 then Corpus.Shape.medium else Corpus.Shape.large in
+      add_program
+        (Printf.sprintf "%s.s%d" (Corpus.Genprog.name cls index) seed)
+        (Corpus.Genprog.generate ~seed ~cls ~size ~index)
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_front_end_pin () =
+  Alcotest.(check string)
+    "front-end digest" "785dcd87c4d16fc5e5fd1b41e1ec3cc7" (front_end_digest ())
+
 let suite =
   [ Alcotest.test_case "aggregate normalizes" `Quick test_aggregate_normalizes;
     Alcotest.test_case "mean over profiles" `Quick test_mean_over_profiles;
@@ -139,4 +180,5 @@ let suite =
     Alcotest.test_case "modelled time" `Quick test_modelled_time;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
     Alcotest.test_case "worked-example experiments" `Quick
-      test_worked_example_experiments ]
+      test_worked_example_experiments;
+    Alcotest.test_case "front-end output pinned" `Quick test_front_end_pin ]
