@@ -40,20 +40,25 @@ type t =
   | AMP_ASSIGN | PIPE_ASSIGN | CARET_ASSIGN | LSHIFT_ASSIGN | RSHIFT_ASSIGN
   | EOF
 
-let keyword_table : (string * t) list =
-  [ ("void", KW_VOID); ("char", KW_CHAR); ("int", KW_INT); ("long", KW_LONG);
-    ("short", KW_SHORT); ("float", KW_FLOAT); ("double", KW_DOUBLE);
-    ("signed", KW_SIGNED); ("unsigned", KW_UNSIGNED);
-    ("struct", KW_STRUCT); ("union", KW_UNION); ("enum", KW_ENUM);
-    ("typedef", KW_TYPEDEF);
-    ("if", KW_IF); ("else", KW_ELSE); ("while", KW_WHILE); ("do", KW_DO);
-    ("for", KW_FOR); ("switch", KW_SWITCH); ("case", KW_CASE);
-    ("default", KW_DEFAULT); ("break", KW_BREAK); ("continue", KW_CONTINUE);
-    ("goto", KW_GOTO); ("return", KW_RETURN); ("sizeof", KW_SIZEOF);
-    ("static", KW_STATIC); ("extern", KW_EXTERN); ("auto", KW_AUTO);
-    ("register", KW_REGISTER); ("const", KW_CONST); ("volatile", KW_VOLATILE) ]
-
-let keyword_of_string s = List.assoc_opt s keyword_table
+(* A match on string literals compiles to a binary search on the
+   string's words, so identifiers cost a few word compares. *)
+let keyword_of_string = function
+  | "void" -> Some KW_VOID | "char" -> Some KW_CHAR | "int" -> Some KW_INT
+  | "long" -> Some KW_LONG | "short" -> Some KW_SHORT
+  | "float" -> Some KW_FLOAT | "double" -> Some KW_DOUBLE
+  | "signed" -> Some KW_SIGNED | "unsigned" -> Some KW_UNSIGNED
+  | "struct" -> Some KW_STRUCT | "union" -> Some KW_UNION
+  | "enum" -> Some KW_ENUM | "typedef" -> Some KW_TYPEDEF
+  | "if" -> Some KW_IF | "else" -> Some KW_ELSE | "while" -> Some KW_WHILE
+  | "do" -> Some KW_DO | "for" -> Some KW_FOR | "switch" -> Some KW_SWITCH
+  | "case" -> Some KW_CASE | "default" -> Some KW_DEFAULT
+  | "break" -> Some KW_BREAK | "continue" -> Some KW_CONTINUE
+  | "goto" -> Some KW_GOTO | "return" -> Some KW_RETURN
+  | "sizeof" -> Some KW_SIZEOF
+  | "static" -> Some KW_STATIC | "extern" -> Some KW_EXTERN
+  | "auto" -> Some KW_AUTO | "register" -> Some KW_REGISTER
+  | "const" -> Some KW_CONST | "volatile" -> Some KW_VOLATILE
+  | _ -> None
 
 let to_string = function
   | IDENT s -> s

@@ -16,6 +16,23 @@ let test_idents_keywords () =
   check_tokens "keywords vs identifiers" "int intx if iffy while whiled"
     [ "int"; "intx"; "if"; "iffy"; "while"; "whiled" ]
 
+let test_keyword_round_trip () =
+  let open Token in
+  List.iter
+    (fun kw ->
+      let s = Token.to_string kw in
+      Alcotest.(check bool) s true (Token.keyword_of_string s = Some kw))
+    [ KW_VOID; KW_CHAR; KW_INT; KW_LONG; KW_SHORT; KW_FLOAT; KW_DOUBLE;
+      KW_SIGNED; KW_UNSIGNED; KW_STRUCT; KW_UNION; KW_ENUM; KW_TYPEDEF;
+      KW_IF; KW_ELSE; KW_WHILE; KW_DO; KW_FOR; KW_SWITCH; KW_CASE;
+      KW_DEFAULT; KW_BREAK; KW_CONTINUE; KW_GOTO; KW_RETURN; KW_SIZEOF;
+      KW_STATIC; KW_EXTERN; KW_AUTO; KW_REGISTER; KW_CONST; KW_VOLATILE ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S is not a keyword" s) true
+        (Token.keyword_of_string s = None))
+    [ "iff"; "int_"; "Int"; ""; "whil"; "sizeof_" ]
+
 let test_integer_literals () =
   let toks = tokens_of "0 42 0x1F 017 123456789 42u 42L 0xffUL" in
   let ints =
@@ -117,6 +134,7 @@ let test_eof_only () =
 
 let suite =
   [ Alcotest.test_case "idents vs keywords" `Quick test_idents_keywords;
+    Alcotest.test_case "keyword round trip" `Quick test_keyword_round_trip;
     Alcotest.test_case "integer literals" `Quick test_integer_literals;
     Alcotest.test_case "leading-zero literal" `Quick test_octal_like;
     Alcotest.test_case "float literals" `Quick test_float_literals;
