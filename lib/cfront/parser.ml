@@ -114,21 +114,23 @@ let rec eval_const_int (st : state) (e : Ast.expr) : int =
   | _ -> raise (Error ("expected integer constant expression", e.epos))
 
 (* ------------------------------------------------------------------ *)
-(* Binary operators by precedence level, lowest first. *)
+(* A binary operator token's precedence level, lowest first, and its
+   operator. *)
 
-let binary_levels : (Token.t * Ast.binop) list array =
-  [| [ (Token.OROR, Ast.Blor) ];
-     [ (Token.ANDAND, Ast.Bland) ];
-     [ (Token.PIPE, Ast.Bbor) ];
-     [ (Token.CARET, Ast.Bbxor) ];
-     [ (Token.AMP, Ast.Bband) ];
-     [ (Token.EQEQ, Ast.Beq); (Token.NEQ, Ast.Bne) ];
-     [ (Token.LT, Ast.Blt); (Token.GT, Ast.Bgt); (Token.LE, Ast.Ble);
-       (Token.GE, Ast.Bge) ];
-     [ (Token.LSHIFT, Ast.Bshl); (Token.RSHIFT, Ast.Bshr) ];
-     [ (Token.PLUS, Ast.Badd); (Token.MINUS, Ast.Bsub) ];
-     [ (Token.STAR, Ast.Bmul); (Token.SLASH, Ast.Bdiv);
-       (Token.PERCENT, Ast.Bmod) ] |]
+let binop_of : Token.t -> (int * Ast.binop) option = function
+  | Token.OROR -> Some (0, Ast.Blor)
+  | Token.ANDAND -> Some (1, Ast.Bland)
+  | Token.PIPE -> Some (2, Ast.Bbor)
+  | Token.CARET -> Some (3, Ast.Bbxor)
+  | Token.AMP -> Some (4, Ast.Bband)
+  | Token.EQEQ -> Some (5, Ast.Beq) | Token.NEQ -> Some (5, Ast.Bne)
+  | Token.LT -> Some (6, Ast.Blt) | Token.GT -> Some (6, Ast.Bgt)
+  | Token.LE -> Some (6, Ast.Ble) | Token.GE -> Some (6, Ast.Bge)
+  | Token.LSHIFT -> Some (7, Ast.Bshl) | Token.RSHIFT -> Some (7, Ast.Bshr)
+  | Token.PLUS -> Some (8, Ast.Badd) | Token.MINUS -> Some (8, Ast.Bsub)
+  | Token.STAR -> Some (9, Ast.Bmul) | Token.SLASH -> Some (9, Ast.Bdiv)
+  | Token.PERCENT -> Some (9, Ast.Bmod)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Declaration specifiers and declarators *)
@@ -432,23 +434,24 @@ and parse_conditional st : Ast.expr =
   end
   else c
 
-(* Binary operators by precedence level, lowest first. *)
+(* Precedence climbing: every binary operator at [level] or above
+   extends the left operand; its right operand takes only operators that
+   bind tighter, which makes all of them left-associative. Every node of
+   one climb carries the position of its leftmost operand. *)
 and parse_binary st level : Ast.expr =
-  if level >= Array.length binary_levels then parse_cast st
-  else begin
-    let pos = peek_pos st in
-    let lhs = ref (parse_binary st (level + 1)) in
-    let continue_ = ref true in
-    while !continue_ do
-      match List.assoc_opt (peek st) binary_levels.(level) with
-      | Some op ->
-        advance st;
-        let rhs = parse_binary st (level + 1) in
-        lhs := mk_expr st pos (Ast.Binop (op, !lhs, rhs))
-      | None -> continue_ := false
-    done;
-    !lhs
-  end
+  let pos = peek_pos st in
+  let lhs = ref (parse_cast st) in
+  let continue_ = ref true in
+  while !continue_ do
+    match binop_of (peek st) with
+    | Some (l, op) when l >= level ->
+      advance st;
+      let rhs = parse_binary st (l + 1) in
+      lhs := mk_expr st pos (Ast.Binop (op, !lhs, rhs))
+    | _ -> continue_ := false
+  done;
+  !lhs
+
 and parse_cast st : Ast.expr =
   let pos = peek_pos st in
   if peek st = Token.LPAREN

@@ -111,6 +111,79 @@ let test_precedence () =
   check_const "mod" "17 % 5" 2;
   check_const "mixed" "1 + 2 * 3 - 4 / 2" 5
 
+(* The expression a function returns, parsed in a scope where the
+   identifiers a..k are parameters. *)
+let returned_expr expr_src =
+  let tu =
+    parse
+      (Printf.sprintf
+         "int f(int a, int b, int c, int d, int e, int f, int g, int h, int i, \
+          int j, int k) { return %s; }"
+         expr_src)
+  in
+  let result = ref None in
+  List.iter
+    (function
+      | Ast.Gfun fn ->
+        Ast.iter_stmt fn.Ast.f_body
+          ~on_stmt:(fun s ->
+            match s.Ast.snode with
+            | Ast.Sreturn (Some e) -> result := Some e
+            | _ -> ())
+          ~on_expr:(fun _ -> ())
+      | _ -> ())
+    tu.Ast.globals;
+  Option.get !result
+
+let rec shape (e : Ast.expr) =
+  match e.Ast.enode with
+  | Ast.Ident x -> x
+  | Ast.Binop (op, a, b) ->
+    Printf.sprintf "(%s %s %s)" (Ast.binop_to_string op) (shape a) (shape b)
+  | _ -> Alcotest.fail "unexpected node"
+
+(* Node ids in post-order: a node is created right after its operands. *)
+let rec post_order_ids (e : Ast.expr) =
+  match e.Ast.enode with
+  | Ast.Binop (_, a, b) -> post_order_ids a @ post_order_ids b @ [ e.Ast.eid ]
+  | _ -> [ e.Ast.eid ]
+
+let check_tree name src expected =
+  let e = returned_expr src in
+  Alcotest.(check string) name expected (shape e);
+  let ids = post_order_ids e in
+  let first = List.hd ids in
+  Alcotest.(check (list int))
+    (name ^ ": ids in creation order")
+    (List.init (List.length ids) (fun n -> first + n))
+    ids;
+  (* every binop carries the position of its leftmost operand *)
+  let rec leftmost (x : Ast.expr) =
+    match x.Ast.enode with Ast.Binop (_, a, _) -> leftmost a | _ -> x
+  in
+  let rec check_pos (x : Ast.expr) =
+    match x.Ast.enode with
+    | Ast.Binop (_, a, b) ->
+      Alcotest.(check int) (name ^ ": binop column") (leftmost x).Ast.epos.Token.col
+        x.Ast.epos.Token.col;
+      check_pos a;
+      check_pos b
+    | _ -> ()
+  in
+  check_pos e
+
+let test_precedence_trees () =
+  check_tree "sub is left associative" "a - b - c" "(- (- a b) c)";
+  check_tree "div and mod share a level" "a / b % c" "(% (/ a b) c)";
+  check_tree "all ten levels"
+    "a + b * c << d < e == f & g ^ h | i && j || k"
+    "(|| (&& (| (^ (& (== (< (<< (+ a (* b c)) d) e) f) g) h) i) j) k)";
+  check_tree "all ten levels, tightest last"
+    "a || b && c | d ^ e & f == g < h << i + j * k"
+    "(|| a (&& b (| c (^ d (& e (== f (< g (<< h (+ i (* j k))))))))))";
+  check_tree "levels falling and rising" "a * b + c * d < e - f / g"
+    "(< (+ (* a b) (* c d)) (- e (/ f g)))"
+
 let fundef tu name =
   List.find_map
     (function
@@ -308,6 +381,7 @@ let suite =
     Alcotest.test_case "recursive struct" `Quick test_struct_forward_reference;
     Alcotest.test_case "enum values" `Quick test_enum_values;
     Alcotest.test_case "precedence" `Quick test_precedence;
+    Alcotest.test_case "precedence trees" `Quick test_precedence_trees;
     Alcotest.test_case "function heads" `Quick test_function_heads;
     Alcotest.test_case "statements" `Quick test_statements;
     Alcotest.test_case "for-decl init" `Quick test_for_decl_init;
