@@ -29,15 +29,29 @@
 
 let add_tag (buf : Buffer.t) (tag : string) = Buffer.add_string buf tag
 
+(* The bytes of [string_of_int i], written straight into [buf]. The
+   digits come from the non-positive value, which exists for every
+   [int], [min_int] included. *)
+let add_decimal (buf : Buffer.t) (i : int) =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    digits i
+  end
+  else digits (-i)
+
 (* Length-prefix strings so concatenations cannot collide
    ("ab"+"c" vs "a"+"bc"). *)
 let add_str (buf : Buffer.t) (s : string) =
-  Buffer.add_string buf (string_of_int (String.length s));
+  add_decimal buf (String.length s);
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
 let add_int (buf : Buffer.t) (i : int) =
-  Buffer.add_string buf (string_of_int i);
+  add_decimal buf i;
   Buffer.add_char buf ';'
 
 (* Bit-exact float serialization: %h prints the hex significand. *)

@@ -165,6 +165,25 @@ let front_end_digest () =
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let test_fnhash_digits () =
+  let samples =
+    [ 0; 1; 9; 10; 11; 99; 100; 101; 1_000_000; -1; -9; -10; -11; -100;
+      max_int; max_int - 1; min_int; min_int + 1; 4_611_686_018_427_387_903 ]
+  in
+  let rng = Random.State.make [| 16 |] in
+  let randoms = List.init 200 (fun _ -> Random.State.bits rng - (1 lsl 29)) in
+  List.iter
+    (fun i ->
+      let s = String.make (abs (i mod 1000)) 'x' in
+      let b = Buffer.create 32 in
+      Cfront.Fnhash.add_int b i;
+      Cfront.Fnhash.add_str b s;
+      Alcotest.(check string)
+        (string_of_int i)
+        (string_of_int i ^ ";" ^ string_of_int (String.length s) ^ ":" ^ s)
+        (Buffer.contents b))
+    (samples @ randoms)
+
 let test_front_end_pin () =
   Alcotest.(check string)
     "front-end digest" "785dcd87c4d16fc5e5fd1b41e1ec3cc7" (front_end_digest ())
@@ -181,4 +200,5 @@ let suite =
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
     Alcotest.test_case "worked-example experiments" `Quick
       test_worked_example_experiments;
+    Alcotest.test_case "fnhash digits" `Quick test_fnhash_digits;
     Alcotest.test_case "front-end output pinned" `Quick test_front_end_pin ]
