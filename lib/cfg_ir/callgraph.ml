@@ -45,38 +45,32 @@ let address_census (p : Cfg.program) : (string, int) Hashtbl.t =
       Hashtbl.replace counts name
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
   in
-  let rec scan_expr ~in_call (e : Ast.expr) =
+  let rec scan (e : Ast.expr) =
     match e.Ast.enode with
     | Ast.Ident _ -> begin
-      if not in_call then
-        match Typecheck.resolution_of tc e with
-        | Some (Typecheck.Rfun name) -> bump name
-        | _ -> ()
+      match Typecheck.resolution_of tc e with
+      | Some (Typecheck.Rfun name) -> bump name
+      | _ -> ()
     end
     | Ast.Call (fn, args) ->
       (* The callee position is a use, not an address-of — unless it is
          itself an arbitrary expression. *)
       (match fn.Ast.enode with
       | Ast.Ident _ -> ()
-      | _ -> scan_expr ~in_call:false fn);
-      List.iter (scan_expr ~in_call:false) args
-    | Ast.Unop (Ast.Uaddr, ({ Ast.enode = Ast.Ident _; _ } as f)) -> begin
-      match Typecheck.resolution_of tc f with
-      | Some (Typecheck.Rfun name) -> bump name
-      | _ -> ()
-    end
+      | _ -> scan fn);
+      List.iter scan args
     | Ast.Unop (_, a) | Ast.Cast (_, a) | Ast.SizeofE a | Ast.PreIncr a
     | Ast.PreDecr a | Ast.PostIncr a | Ast.PostDecr a | Ast.Field (a, _)
     | Ast.Arrow (a, _) ->
-      scan_expr ~in_call:false a
+      scan a
     | Ast.Binop (_, a, b) | Ast.Assign (_, a, b) | Ast.Index (a, b)
     | Ast.Comma (a, b) ->
-      scan_expr ~in_call:false a;
-      scan_expr ~in_call:false b
+      scan a;
+      scan b
     | Ast.Cond (a, b, c) ->
-      scan_expr ~in_call:false a;
-      scan_expr ~in_call:false b;
-      scan_expr ~in_call:false c
+      scan a;
+      scan b;
+      scan c
     | Ast.IntLit _ | Ast.FloatLit _ | Ast.CharLit _ | Ast.StringLit _
     | Ast.SizeofT _ ->
       ()
@@ -94,20 +88,34 @@ let address_census (p : Cfg.program) : (string, int) Hashtbl.t =
         | _ -> ())
       init
   in
+  let rec scan_local_init = function
+    | Ast.Iexpr e -> scan e
+    | Ast.Ilist items -> List.iter scan_local_init items
+  in
+  let scan_decl (d : Ast.decl) = Option.iter scan_local_init d.Ast.d_init in
+  (* Each statement scans the expressions it owns, not those of its
+     sub-statements, so every maximal expression is scanned once. *)
+  let scan_own (s : Ast.stmt) =
+    match s.Ast.snode with
+    | Ast.Sexpr e | Ast.Sif (e, _, _) | Ast.Swhile (e, _) | Ast.Sdo (_, e)
+    | Ast.Sswitch (e, _) | Ast.Scase (e, _) | Ast.Sreturn (Some e) ->
+      scan e
+    | Ast.Sblock items ->
+      List.iter (function Ast.Bdecl d -> scan_decl d | Ast.Bstmt _ -> ()) items
+    | Ast.Sfor (init, cond, step, _) ->
+      (match init with
+      | Ast.Fnone -> ()
+      | Ast.Fexpr e -> scan e
+      | Ast.Fdecl ds -> List.iter scan_decl ds);
+      Option.iter scan cond;
+      Option.iter scan step
+    | Ast.Sdefault _ | Ast.Slabel _ | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _
+    | Ast.Sreturn None | Ast.Snull ->
+      ()
+  in
   List.iter
     (function
-      | Ast.Gfun f ->
-        (* iter_stmt fires on_expr for every sub-expression; scan each
-           maximal expression once by marking visited subtrees. *)
-        let seen = Hashtbl.create 16 in
-        Ast.iter_stmt f.Ast.f_body
-          ~on_stmt:(fun _ -> ())
-          ~on_expr:(fun e ->
-            if not (Hashtbl.mem seen e.Ast.eid) then begin
-              (* mark the whole subtree as seen, then scan it *)
-              Ast.iter_expr (fun x -> Hashtbl.replace seen x.Ast.eid ()) e;
-              scan_expr ~in_call:false e
-            end)
+      | Ast.Gfun f -> Ast.iter_stmt f.Ast.f_body ~on_stmt:scan_own ~on_expr:ignore
       | Ast.Gvar d -> scan_init d.Ast.d_init
       | Ast.Gfundecl _ -> ())
     tc.Typecheck.tunit.Ast.globals;

@@ -272,6 +272,38 @@ let prop_cfg_invariants =
       List.iter check_invariants prog.Cfg.prog_fns;
       true)
 
+(* The address-taken census counts a function named outside call
+   position wherever a statement holds an expression: one function per
+   place, so each count says which place was scanned. *)
+let test_address_census_places () =
+  let prog =
+    compile
+      {|
+int in_decl(int x) { return x; }
+int in_for_init(int x) { return x; }
+int in_for_decl(int x) { return x; }
+int in_switch(int x) { return x; }
+int in_return(int x) { return x; }
+int called(int x) { return x; }
+int pick(int (*h)(int)) { return h(1); }
+int (*fp)(int);
+int main(void) {
+  int (*p)(int) = in_decl;
+  int i = called(2);
+  for (fp = in_for_init; i < 1; i++) ;
+  for (int (*q)(int) = in_for_decl; i < 2; i++) ;
+  switch (pick(in_switch)) { default: break; }
+  return pick(in_return) + p(0);
+}
+|}
+  in
+  let g = Cfg_ir.Callgraph.build prog in
+  Alcotest.(check (list (pair string int)))
+    "census"
+    [ ("in_decl", 1); ("in_for_decl", 1); ("in_for_init", 1); ("in_return", 1);
+      ("in_switch", 1) ]
+    (Cfg_ir.Callgraph.address_taken_list g)
+
 let suite =
   [ Alcotest.test_case "straight line" `Quick test_straight_line;
     Alcotest.test_case "if/else" `Quick test_if_shape;
@@ -287,6 +319,7 @@ let suite =
     Alcotest.test_case "unreachable code dropped" `Quick test_unreachable_dropped;
     Alcotest.test_case "call sites" `Quick test_call_sites;
     Alcotest.test_case "indirect call site" `Quick test_indirect_call_site;
+    Alcotest.test_case "address census places" `Quick test_address_census_places;
     Alcotest.test_case "branch arms" `Quick test_branch_arms_recorded;
     Alcotest.test_case "invariants on the whole suite" `Slow
       test_invariants_on_suite;
