@@ -41,6 +41,7 @@ let advance st =
   end else st.off <- st.off + 1
 
 let is_digit c = c >= '0' && c <= '9'
+let is_octal_digit c = c >= '0' && c <= '7'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
@@ -117,7 +118,7 @@ let lex_escape st =
   let c = peek st in
   advance st;
   match c with
-  | 'n' -> 10 | 't' -> 9 | 'r' -> 13 | '0' -> 0 | 'b' -> 8 | 'f' -> 12
+  | 'n' -> 10 | 't' -> 9 | 'r' -> 13 | 'b' -> 8 | 'f' -> 12
   | 'v' -> 11 | 'a' -> 7
   | '\\' -> 92 | '\'' -> 39 | '"' -> 34 | '?' -> 63
   | 'x' ->
@@ -134,11 +135,12 @@ let lex_escape st =
       advance st
     done;
     if !n = 0 then error st "invalid hex escape" else !v
-  | c when is_digit c ->
-    (* octal escape, up to 3 digits, first already consumed *)
+  | '0' .. '7' ->
+    (* octal escape, up to 3 digits, first already consumed; [\0] is
+       the one-digit case *)
     let v = ref (Char.code c - Char.code '0') in
     let n = ref 1 in
-    while is_digit (peek st) && peek st < '8' && !n < 3 do
+    while is_octal_digit (peek st) && !n < 3 do
       v := (!v * 8) + (Char.code (peek st) - Char.code '0');
       incr n;
       advance st

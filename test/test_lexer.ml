@@ -84,6 +84,22 @@ let test_string_escapes () =
     Alcotest.(check string) "string value" "a\nb\t\"q\"" s
   | _ -> Alcotest.fail "string literal"
 
+let test_octal_escapes () =
+  (* an escape starting with 0 is octal too, up to three digits *)
+  (match tokens_of {|"\012" "\1234" "\0a"|} with
+  | [ Token.STRING_LIT s; Token.EOF ] ->
+    Alcotest.(check string) "string octal escapes" "\nS4\000a" s
+  | _ -> Alcotest.fail "string literal");
+  (match tokens_of {|'\012' '\0' '\7' '\177'|} with
+  | [ Token.CHAR_LIT a; Token.CHAR_LIT b; Token.CHAR_LIT c; Token.CHAR_LIT d; Token.EOF ] ->
+    Alcotest.(check (list int)) "char octal escapes" [ 10; 0; 7; 127 ] [ a; b; c; d ]
+  | _ -> Alcotest.fail "char literals");
+  (* 8 and 9 are not octal digits *)
+  match tokens_of {|'\8'|} with
+  | exception Lexer.Error (msg, _) ->
+    Alcotest.(check string) "error" "unknown escape '\\8'" msg
+  | _ -> Alcotest.fail "'\\8' must not lex"
+
 let test_string_concatenation () =
   match tokens_of {|"foo" "bar" "baz"|} with
   | [ Token.STRING_LIT s; Token.EOF ] ->
@@ -124,6 +140,7 @@ let test_errors () =
   expect_error "unterminated char" "'a";
   expect_error "empty char" "''";
   expect_error "bad escape" {|'\q'|};
+  expect_error "escape 9 in a string" {|"\9"|};
   expect_error "stray character" "a $ b";
   expect_error "newline in string" "\"ab\ncd\""
 
@@ -141,6 +158,7 @@ let suite =
     Alcotest.test_case "exponent backtracking" `Quick test_exponent_backtrack;
     Alcotest.test_case "char literals" `Quick test_char_literals;
     Alcotest.test_case "string escapes" `Quick test_string_escapes;
+    Alcotest.test_case "octal escapes" `Quick test_octal_escapes;
     Alcotest.test_case "string concatenation" `Quick test_string_concatenation;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "stars in comments" `Quick test_nested_star_comment;
