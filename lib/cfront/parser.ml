@@ -8,8 +8,12 @@
 exception Error of string * Token.pos
 
 type state = {
-  toks : Lexer.located array;
-  mutable idx : int;
+  mutable toks : Lexer.located list;
+      (* the tokens not yet consumed, current first; the last one (EOF)
+         is never consumed. The lexer's list is walked in place: copying
+         it with [Array.of_list] forces a minor collection on every
+         parse, because the runtime promotes a young initial value
+         before it allocates a large array. *)
   mutable next_id : int;
   typedefs : (string, Ctypes.ty) Hashtbl.t;
   struct_tags : (string, int) Hashtbl.t;
@@ -19,23 +23,20 @@ type state = {
   file : string;
 }
 
-let error st msg =
-  let pos =
-    if st.idx < Array.length st.toks then st.toks.(st.idx).Lexer.pos
-    else Token.dummy_pos
-  in
-  raise (Error (msg, pos))
+let peek_pos st =
+  match st.toks with t :: _ -> t.Lexer.pos | [] -> Token.dummy_pos
+
+let error st msg = raise (Error (msg, peek_pos st))
 
 let errorf st fmt = Printf.ksprintf (error st) fmt
 
-let peek st = st.toks.(st.idx).Lexer.tok
-let peek_pos st = st.toks.(st.idx).Lexer.pos
+let peek st = match st.toks with t :: _ -> t.Lexer.tok | [] -> Token.EOF
 
 let peek_ahead st n =
-  let i = st.idx + n in
-  if i < Array.length st.toks then st.toks.(i).Lexer.tok else Token.EOF
+  match List.nth_opt st.toks n with Some t -> t.Lexer.tok | None -> Token.EOF
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st =
+  match st.toks with _ :: (_ :: _ as rest) -> st.toks <- rest | _ -> ()
 
 let accept st tok =
   if peek st = tok then begin advance st; true end else false
@@ -850,7 +851,7 @@ let parse_external st : Ast.global list =
 (* Parse a complete translation unit from preprocessed source text. *)
 let parse_tunit ~file (toks : Lexer.located list) : Ast.tunit =
   let st =
-    { toks = Array.of_list toks; idx = 0; next_id = 0;
+    { toks; next_id = 0;
       typedefs = Hashtbl.create 16; struct_tags = Hashtbl.create 16;
       registry = Ctypes.create_registry (); enum_consts = Hashtbl.create 16;
       enum_order = []; file }
