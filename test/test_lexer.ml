@@ -91,8 +91,10 @@ let test_octal_escapes () =
     Alcotest.(check string) "string octal escapes" "\nS4\000a" s
   | _ -> Alcotest.fail "string literal");
   (match tokens_of {|'\012' '\0' '\7' '\177'|} with
-  | [ Token.CHAR_LIT a; Token.CHAR_LIT b; Token.CHAR_LIT c; Token.CHAR_LIT d; Token.EOF ] ->
-    Alcotest.(check (list int)) "char octal escapes" [ 10; 0; 7; 127 ] [ a; b; c; d ]
+  | [ Token.CHAR_LIT a; Token.CHAR_LIT b; Token.CHAR_LIT c; Token.CHAR_LIT d;
+      Token.EOF ] ->
+    Alcotest.(check (list int))
+      "char octal escapes" [ 10; 0; 7; 127 ] [ a; b; c; d ]
   | _ -> Alcotest.fail "char literals");
   (* 8 and 9 are not octal digits *)
   match tokens_of {|'\8'|} with

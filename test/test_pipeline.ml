@@ -168,9 +168,9 @@ let front_end_digest () =
 let test_fnhash_digits () =
   let samples =
     [ 0; 1; 9; 10; 11; 99; 100; 101; 1_000_000; -1; -9; -10; -11; -100;
-      max_int; max_int - 1; min_int; min_int + 1; 4_611_686_018_427_387_903 ]
+      max_int; max_int - 1; min_int; min_int + 1 ]
   in
-  let rng = Random.State.make [| 16 |] in
+  let rng = Random.State.make [| 42 |] in
   let randoms = List.init 200 (fun _ -> Random.State.bits rng - (1 lsl 29)) in
   List.iter
     (fun i ->
