@@ -97,6 +97,3 @@ let direct_sites (p : program) : call_site list =
   all_sites p
   |> List.filter (fun cs ->
        match cs.cs_callee with Direct _ -> true | _ -> false)
-
-let indirect_sites (p : program) : call_site list =
-  all_sites p |> List.filter (fun cs -> cs.cs_callee = Indirect)

@@ -113,10 +113,6 @@ type tunit = {
 
 (* Helpers used by heuristics and pretty printers. *)
 
-let is_comparison = function
-  | Blt | Bgt | Ble | Bge | Beq | Bne -> true
-  | _ -> false
-
 let unop_to_string = function
   | Uneg -> "-" | Uplus -> "+" | Unot -> "!" | Ubnot -> "~"
   | Uderef -> "*" | Uaddr -> "&"
@@ -201,6 +197,3 @@ and iter_init ~on_expr = function
   | None -> ()
   | Some (Iexpr e) -> iter_expr on_expr e
   | Some (Ilist l) -> List.iter (fun i -> iter_init ~on_expr (Some i)) l
-
-let fundefs tunit =
-  List.filter_map (function Gfun f -> Some f | _ -> None) tunit.globals

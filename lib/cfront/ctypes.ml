@@ -134,9 +134,3 @@ let rec to_string = function
     Printf.sprintf "%s(%s%s)" (to_string f.ret)
       (String.concat ", " (List.map to_string f.params))
       (if f.varargs then ", ..." else "")
-
-let to_string_with reg = function
-  | Tstruct i ->
-    let d = find reg i in
-    Printf.sprintf "struct %s" (Option.value ~default:"<anon>" d.str_tag)
-  | t -> to_string t

@@ -45,22 +45,6 @@ let rec lvalue_root tc (e : Ast.expr) : var_key option =
   end
   | _ -> None
 
-(* Variables directly written anywhere inside expression [e]. *)
-let writes_of_expr tc (e : Ast.expr) : var_key list =
-  let acc = ref [] in
-  let visit (x : Ast.expr) =
-    match x.Ast.enode with
-    | Ast.Assign (_, lhs, _) | Ast.PreIncr lhs | Ast.PreDecr lhs
-    | Ast.PostIncr lhs | Ast.PostDecr lhs -> begin
-      match lvalue_root tc lhs with
-      | Some k -> acc := k :: !acc
-      | None -> ()
-    end
-    | _ -> ()
-  in
-  Ast.iter_expr visit e;
-  !acc
-
 (* Variables directly written anywhere inside statement [s]. *)
 let writes_of_stmt tc (s : Ast.stmt) : var_key list =
   let acc = ref [] in

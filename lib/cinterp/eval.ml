@@ -56,11 +56,6 @@ let size_of (g : genv) (t : Ctypes.ty) : int =
   try Ctypes.size_of g.reg t
   with Ctypes.Type_error m -> Value.error "%s" m
 
-let elem_size (g : genv) (e : Ast.expr) : int =
-  match ty_of g e with
-  | Ctypes.Tptr t -> size_of g t
-  | t -> Value.error "expected pointer type, got %s" (Ctypes.to_string t)
-
 let intern_string (g : genv) (s : string) : Value.ptr =
   match Hashtbl.find_opt g.strings s with
   | Some p -> p

@@ -15,8 +15,6 @@ type t = { mutable blocks : block array; mutable count : int }
 
 let create () = { blocks = [||]; count = 0 }
 
-let n_blocks m = m.count
-
 let alloc (m : t) (size : int) ~(tag : string) : Value.ptr =
   if size < 0 then Value.error "allocation of negative size (%s)" tag;
   let blk = { cells = Array.make (max size 0) (Value.Vint 0); live = true; tag } in

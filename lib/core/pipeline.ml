@@ -29,12 +29,10 @@ module Profile = Cinterp.Profile
 
 (* Interpreter back end used for profiling. [Compiled] is the
    closure-compiled [Compile] back end every driver path profiles with;
-   [Tree] is the reference AST-walking [Eval] that tests and the
-   profile benchmark select explicitly. Both produce bit-identical
-   outcomes (test/test_compile.ml). *)
+   [Tree] is the reference AST-walking [Eval] that tests select
+   explicitly. Both produce bit-identical outcomes
+   (test/test_compile.ml). *)
 type backend = Tree | Compiled
-
-let backend_to_string = function Tree -> "tree" | Compiled -> "compiled"
 
 type compiled = {
   name : string;
@@ -271,10 +269,6 @@ let inter_actual (c : compiled) (p : Profile.t) : float array =
       let fn = Option.get (Cfg.find_fn c.prog name) in
       Profile.invocations p fn)
     c.graph.Callgraph.names
-
-let inter_score ~(estimate : float array) ~(actual : float array)
-    ~(cutoff : float) : float =
-  Weight_matching.score ~estimate ~actual ~cutoff
 
 (* ------------------------------------------------------------------ *)
 (* Call-site ranking. *)

@@ -26,12 +26,9 @@ module Profile = Cinterp.Profile
 
 (** Interpreter back end used for profiling: the closure-compiled
     {!Compile} (every driver path) or the reference AST-walking {!Eval}
-    (selected explicitly by tests and the profile benchmark). The two
-    are proven to produce bit-identical outcomes (profiles, stdout, exit
-    codes). *)
+    (selected explicitly by tests). The two are proven to produce
+    bit-identical outcomes (profiles, stdout, exit codes). *)
 type backend = Tree | Compiled
-
-val backend_to_string : backend -> string
 
 (** A compiled program: typed AST, CFGs, call graph, plus lazily built
     shared state (closure-compiled executable, per-function usage memo).
@@ -162,9 +159,6 @@ val inter_estimate :
 
 (** Measured invocation counts, same order. *)
 val inter_actual : compiled -> Profile.t -> float array
-
-val inter_score :
-  estimate:float array -> actual:float array -> cutoff:float -> float
 
 (** {1 Call-site ranking} *)
 

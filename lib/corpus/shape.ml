@@ -50,8 +50,6 @@ let large = { s_functions = 8; s_stmts = 14; s_loop_depth = 4; s_fanout = 4 }
 
 let size_presets = [ ("small", small); ("medium", medium); ("large", large) ]
 
-let size_of_string name = List.assoc_opt name size_presets
-
 let size_to_string s =
   match List.find_opt (fun (_, v) -> v = s) size_presets with
   | Some (name, _) -> name

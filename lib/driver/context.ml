@@ -1,7 +1,7 @@
 (* Shared, memoized experiment context: each suite program compiled once
-   and profiled once per input. Every experiment — and the bench harness —
-   draws from this cache, so running all of them costs one pass over the
-   suite no matter how many consumers ask.
+   and profiled once per input. Every experiment draws from this cache,
+   so running all of them costs one pass over the suite no matter how
+   many consumers ask.
 
    The cache is content-keyed (program name + digest of source and run
    set): re-registering a program with different source or inputs

@@ -452,8 +452,8 @@ let close_store () : unit =
 
 (* Simulated [kill -9]: drop every in-memory structure and the journal
    fd without flushing or snapshotting — exactly the state a new
-   process starts from after a crash. The bench's restart-warm phase
-   and the crash-recovery tests reopen the directory afterwards. *)
+   process starts from after a crash. The crash-recovery tests reopen
+   the directory afterwards. *)
 let crash_store () : unit =
   locked (fun () ->
       (match !persist with Some p -> Persist.close p | None -> ());

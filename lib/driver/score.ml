@@ -87,8 +87,8 @@ let reset () : unit =
   Mutex.unlock m
 
 (* Sorted, deduplicated view: re-running an experiment in the same
-   process (tests, the bench harness running [run_all] after a single
-   experiment) re-emits identical records; keep one per key. *)
+   process (tests, [run_all] after a single experiment) re-emits
+   identical records; keep one per key. *)
 let all () : t list =
   Mutex.lock m;
   let records = !store in

@@ -841,11 +841,6 @@ type config = {
   c_slow_log : string option; (* NDJSON sink for slow entries *)
 }
 
-let default_config =
-  { c_socket = None; c_store = None; c_workers = 0; c_deadline_s = None;
-    c_queue_limit = 256; c_budget_bytes = Incr.default_budget;
-    c_jobs = Parallel.default_jobs (); c_slow_ms = None; c_slow_log = None }
-
 (* Degradation is cumulative across the daemon's whole life even though
    the fault log resets per batch: any degraded batch turns the
    eventual exit code to 3. *)

@@ -4,7 +4,7 @@
     per-domain, merged by span id); this module is the user-facing
     subsystem: it aggregates the recorded stream into a deterministic
     tree, renders it for humans ([--trace]) and exports it as JSON
-    ([--metrics-out FILE]) on both [bin/main.exe] and [bench/main.exe].
+    ([--metrics-out FILE]) on [bin/main.exe].
 
     Tracing is purely observational: it never touches the analysis
     results, so the differential harness's byte-identity across [--jobs]

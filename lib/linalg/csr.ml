@@ -9,11 +9,12 @@
 
    Layout: the diagonal is stored separately ([diag], dense over rows),
    off-diagonal entries in the usual row_start/cols/vals triple. Keeping
-   the diagonal out of the triple means duplicate self-arcs fold into
-   [diag] exactly like the dense build's [add_to], and the Gauss-Seidel
-   sweep reads a_ii without scanning its row. Duplicate off-diagonal
-   arcs are left unmerged: every consumer sums a row's entries, so
-   duplicates contribute identically to a merged entry.
+   the diagonal out of the triple means duplicate self-arcs accumulate
+   into [diag] exactly as they do on the dense build's diagonal, and
+   the Gauss-Seidel sweep reads a_ii without scanning its row.
+   Duplicate off-diagonal arcs are left unmerged: every consumer sums a
+   row's entries, so duplicates contribute identically to a merged
+   entry.
 
    All arrays live in the per-domain [Scratch] buffers and are
    oversized; consumers must bound their loops by [n]/[row_start] and

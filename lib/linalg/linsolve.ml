@@ -35,12 +35,6 @@ let mode_to_string = function
   | Sparse -> "sparse"
   | Auto -> "auto"
 
-let mode_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" -> Some Auto
-  | _ -> None
-
 (* [Auto] switches to the sparse path at this system size: below it the
    dense elimination is at worst tens of microseconds and exactness is
    worth more than speed; above it O(n^3) starts to tell. *)
@@ -140,7 +134,7 @@ let bad_arc src dst n =
 
 (* Dense build of (I - scale*P^T) x = e_source on the per-domain scratch
    buffer, eliminated in place. Arithmetically identical to the former
-   Matrix.create/add_to build: same zero initialization, same
+   per-solve [Matrix] build: same zero initialization, same
    accumulation order, same [-. (p *. scale)] contributions — this path
    must stay bit-for-bit stable against BASELINE.json. The solution
    vector is freshly allocated (it escapes). *)

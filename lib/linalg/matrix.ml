@@ -41,8 +41,6 @@ let set m i j v =
     invalid_arg "Matrix.set";
   m.data.((i * m.cols) + j) <- v
 
-let add_to m i j v = set m i j (get m i j +. v)
-
 let copy m = { m with data = Array.copy m.data }
 
 let mul a b =
@@ -77,13 +75,3 @@ let transpose m =
     done
   done;
   t
-
-let to_string m =
-  let buf = Buffer.create 256 in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      Buffer.add_string buf (Printf.sprintf "%8.3f " (get m i j))
-    done;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf

@@ -206,17 +206,10 @@ let find_or_create name =
   Mutex.unlock registry_lock;
   h
 
-(* Histograms can be switched off independently of the probe master
-   switch (the --probe-overhead bench measures the three resulting
-   configurations); recording requires both. *)
-let hist_enabled = Atomic.make true
-let set_enabled b = Atomic.set hist_enabled b
-let enabled () = Probe.enabled () && Atomic.get hist_enabled
-
-let observe name v = if enabled () then record (find_or_create name) v
+let observe name v = if Probe.enabled () then record (find_or_create name) v
 
 let time name f =
-  if not (enabled ()) then f ()
+  if not (Probe.enabled ()) then f ()
   else begin
     let t0 = Probe.now_ns () in
     Fun.protect

@@ -82,14 +82,6 @@ val summary_json : snapshot -> Json.t
     Shares {!Probe}'s master switch: when probes are disabled every
     call is one atomic load and a branch. *)
 
-val set_enabled : bool -> unit
-(** Switch histogram recording off (or back on) independently of the
-    probe master switch — counters and spans keep flowing. Recording
-    requires both switches; the default is on. *)
-
-val enabled : unit -> bool
-(** [Probe.enabled () && the histogram switch]. *)
-
 val observe : string -> int -> unit
 (** Record a value into the named histogram (created on first use). *)
 

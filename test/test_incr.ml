@@ -14,10 +14,12 @@
       finds, invalidations, budget shrinks and a disk restore evicts
       exactly what a reference LRU model evicts, as do random
       sequences;
-   4. a differential sweep — suite + 50 corpus programs, dense and
+   4. a differential sweep — suite + 52 corpus programs, dense and
       sparse solver legs, each given a randomized single-function edit:
       warm incremental re-analysis must be bit-identical to a
-      from-scratch analysis of the same edited source;
+      from-scratch analysis of the same edited source, and a warm
+      re-analysis of the original, before the edit and after reverting
+      it, bit-identical to the cold one;
    5. the byte gauge follows every store mutation;
    6. every entry point (suite, corpus, serve) gives a program the same
       profiles and inter estimates. *)
@@ -585,19 +587,30 @@ let differential_leg (mode : Linalg.Linsolve.mode) () =
       List.iter
         (fun (name, source) ->
           let edited = probe_edit rng source in
-          let incremental =
+          (* cold, warm (no edit), edited, then reverted to the original:
+             the store may change only timings, so the warm and reverted
+             passes must equal the cold one *)
+          let cold, warm, incremental, reverted =
             fresh (fun () ->
-                let _ = Incr.analyze ~name source in
-                Incr.analyze ~name edited)
+                let cold = Incr.analyze ~name source in
+                let warm = Incr.analyze ~name source in
+                let incremental = Incr.analyze ~name edited in
+                (cold, warm, incremental, Incr.analyze ~name source))
           in
           let scratch = fresh (fun () -> Incr.analyze ~name edited) in
           Alcotest.(check bool)
             (name ^ ": warm pass reused at least the unchanged fns") true
             (incremental.Incr.an_fn_hits > 0);
-          check_scores_equal
-            (Printf.sprintf "%s (%s solver)" name
-               (Linalg.Linsolve.mode_to_string mode))
-            incremental.Incr.an_scores scratch.Incr.an_scores)
+          let what =
+            Printf.sprintf "%s (%s solver)" name
+              (Linalg.Linsolve.mode_to_string mode)
+          in
+          check_scores_equal what incremental.Incr.an_scores
+            scratch.Incr.an_scores;
+          check_scores_equal (what ^ ", warm") cold.Incr.an_scores
+            warm.Incr.an_scores;
+          check_scores_equal (what ^ ", reverted") cold.Incr.an_scores
+            reverted.Incr.an_scores)
         (suite @ corpus))
 
 (* --- 5. the incr.bytes gauge tracks resident bytes ------------------- *)

@@ -296,6 +296,18 @@ let recovery_leg (mode : Linalg.Linsolve.mode) () =
           ignore (Incr.open_store dir);
           ignore (Incr.analyze ~name:"crash" crash_program);
           Incr.crash_store ();
+          (* an intact journal: the restart re-solves nothing and must
+             serve the same scores as the cold pass *)
+          let restore = Incr.open_store dir in
+          Alcotest.(check bool)
+            (tag ^ ": the whole journal restored entries") true
+            (restore.Incr.rs_restored > 0);
+          let warm = Incr.analyze ~name:"crash" crash_program in
+          Alcotest.(check int) (tag ^ ": no intra re-solve after restart") 0
+            warm.Incr.an_fn_misses;
+          check_scores_equal (tag ^ " solver, whole journal") reference
+            warm.Incr.an_scores;
+          Incr.crash_store ();
           let jpath = Filename.concat dir "journal.bin" in
           let jsize = (Unix.stat jpath).Unix.st_size in
           for _ = 1 to 12 do
