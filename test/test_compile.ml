@@ -214,9 +214,61 @@ let prop_backends_identical =
       in
       obs Pipeline.Tree = obs Pipeline.Compiled)
 
+(* ------------------------------------------------------------------ *)
+(* Profile pin: one MD5 over every observable of every suite run and a
+   fixed [Corpus.Genprog] sample on the Compiled back end — exit code,
+   stdout and the %.17g [Profile.save] text (or the stop or diagnostic a
+   run ends with). Interpreter speed work must leave it unchanged. *)
+
+let profile_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add_runs ?fuel name source runs =
+    let c = Pipeline.compile ~name source in
+    List.iteri
+      (fun i (argv, input) ->
+        Printf.bprintf buf "%s/%d " name i;
+        (match run_with Pipeline.Compiled ?fuel ~argv ~input c with
+        | o ->
+          Printf.bprintf buf "exit %d\n%s\n%s" o.Eval.exit_code
+            o.Eval.stdout_text (Profile.save o.Eval.profile)
+        | exception Value.Runtime_error m -> Printf.bprintf buf "error %s" m
+        | exception Eval.Budget_exhausted (stop, o) ->
+          Printf.bprintf buf "budget %s\n%s\n%s"
+            (Eval.budget_stop_to_string stop)
+            o.Eval.stdout_text (Profile.save o.Eval.profile));
+        Buffer.add_char buf '\n')
+      runs
+  in
+  List.iter
+    (fun (p : Suite.Bench_prog.t) ->
+      add_runs p.Suite.Bench_prog.name p.Suite.Bench_prog.source
+        (List.map
+           (fun (r : Suite.Bench_prog.run) ->
+             (r.Suite.Bench_prog.r_argv, r.Suite.Bench_prog.r_input))
+           p.Suite.Bench_prog.runs))
+    Suite.Registry.all;
+  let classes = Array.of_list Corpus.Shape.all_classes in
+  for k = 0 to 39 do
+    let cls = classes.(k mod Array.length classes) in
+    let index = k / Array.length classes in
+    let size =
+      if index mod 2 = 0 then Corpus.Shape.medium else Corpus.Shape.large
+    in
+    add_runs ~fuel:Driver.Corpus_eval.corpus_fuel
+      (Corpus.Genprog.name cls index)
+      (Corpus.Genprog.generate ~seed:1 ~cls ~size ~index)
+      Corpus.Genprog.runs
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_profile_pin () =
+  Alcotest.(check string)
+    "profile digest" "b5fd775460c834eb9c199d6bd75c6353" (profile_digest ())
+
 let suite =
   [ Alcotest.test_case "suite-wide profile bit-identity" `Slow
       test_suite_differential;
+    Alcotest.test_case "profiles pinned" `Slow test_profile_pin;
     Alcotest.test_case "argv and stdin" `Quick test_argv_and_stdin;
     Alcotest.test_case "identical diagnostics" `Quick test_diagnostics;
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
