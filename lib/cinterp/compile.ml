@@ -12,8 +12,12 @@
 
    - expression types, element sizes and field offsets are baked into the
      closures (no side-table lookups at run time);
-   - locals are addressed by pre-computed slot index, with the
-     aggregate-vs-scalar load decision made once;
+   - locals are addressed by pre-computed slot index. [Eval.needs_block]
+     (the slot rule) runs once per function here: scalar locals and
+     parameters whose address is never taken live in the frame's value
+     array and are read and written directly; only the slots the rule
+     marks get a [Memory] block, allocated in slot order as under
+     [Eval];
    - globals are addressed by a dense index into a per-run pointer array
      instead of a name hashtable;
    - string literals get a per-literal cache slot (still allocated lazily,
@@ -57,7 +61,9 @@ type state = {
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
 
-type frame = { locals : Value.ptr array }
+(* As in [Eval]: [locals.(i)] is slot [i]'s block if the slot rule puts
+   it in memory, otherwise the slot lives in [vals.(i)]. *)
+type frame = { locals : Value.ptr array; vals : Value.value array }
 
 type ev = state -> frame -> Value.value   (* compiled expression *)
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
@@ -83,6 +89,8 @@ type cfn = {
   c_index : int;                        (* position in [prog_fns] *)
   c_entry : int;
   mutable c_blocks : cblock array;      (* patched in phase 2 *)
+  c_in_mem : bool array;                (* the slot rule *)
+  c_mem_slots : int array;              (* slots with a block, in order *)
   c_local_sizes : int array;
   c_local_tags : string array;
   c_bind_params : (state -> frame -> Value.value -> unit) array;
@@ -161,20 +169,27 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
   in
   run start
 
-(* Mirror of [Eval.exec_fn]: allocate locals (same order, same tags),
-   bind parameters, run the blocks, kill the locals, coerce the result. *)
+(* Mirror of [Eval.exec_fn]: allocate the blocks the slot rule asks for
+   (same order, same tags), bind parameters, run the blocks, kill those
+   blocks, coerce the result. *)
 and call_fn (st : state) (cf : cfn) (args : Value.value list) : Value.value =
-  let n = Array.length cf.c_local_sizes in
-  let locals = Array.make n { Value.blk = -1; off = 0 } in
-  for i = 0 to n - 1 do
+  let n = Array.length cf.c_in_mem in
+  let mem_slots = cf.c_mem_slots in
+  let locals =
+    if Array.length mem_slots = 0 then [||] else Array.make n Eval.no_block
+  in
+  for k = 0 to Array.length mem_slots - 1 do
+    let i = mem_slots.(k) in
     locals.(i) <-
       Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i)
   done;
-  let fr = { locals } in
+  let fr = { locals; vals = Array.make n (Value.Vint 0) } in
   List.iteri (fun i v -> cf.c_bind_params.(i) st fr v) args;
   let counters = st.fcounters.(cf.c_index) in
   let result = exec_blocks st fr cf counters cf.c_entry in
-  Array.iter (fun p -> Memory.kill st.mem p) locals;
+  for k = 0 to Array.length mem_slots - 1 do
+    Memory.kill st.mem locals.(mem_slots.(k))
+  done;
   cf.c_coerce_ret result
 
 (* ------------------------------------------------------------------ *)
@@ -189,6 +204,7 @@ type cenv = {
   string_index : (string, int) Hashtbl.t;
   mutable n_strings : int;
   mutable fn_info : Typecheck.fun_info option; (* function being compiled *)
+  mutable in_mem : bool array; (* its slot rule, from [Eval.needs_block] *)
 }
 
 let ty_of (env : cenv) (e : Ast.expr) : Ctypes.ty =
@@ -324,6 +340,8 @@ and compile_ident (env : cenv) (e : Ast.expr) : ev =
   | Some (Typecheck.Rbuiltin name) ->
     let v = Value.Vfun (Value.Fbuiltin name) in
     fun _ _ -> v
+  | Some (Typecheck.Rlocal slot) when not env.in_mem.(slot) ->
+    fun _ fr -> fr.vals.(slot)
   | Some (Typecheck.Rlocal slot) -> begin
     match local_ty env slot with
     | Ctypes.Tstruct _ | Ctypes.Tarray _ ->
@@ -352,6 +370,8 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
   match e.Ast.enode with
   | Ast.Ident name -> begin
     match Typecheck.resolution_of env.tc e with
+    | Some (Typecheck.Rlocal slot) when not env.in_mem.(slot) ->
+      fun _ _ -> Eval.no_address name
     | Some (Typecheck.Rlocal slot) -> fun _ fr -> fr.locals.(slot)
     | Some (Typecheck.Rglobal gname) -> begin
       match Hashtbl.find_opt env.global_index gname with
@@ -596,30 +616,47 @@ and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
       in
       Memory.blit st.mem ~src:s ~dst:d size;
       Value.Vptr d
-  | Ast.Aplain, _ ->
-    let loc = compile_lvalue env lhs in
+  | Ast.Aplain, _ -> begin
     let crhs = compile_expr env rhs in
-    fun st fr ->
-      let l = loc st fr in
-      let v = Eval.coerce tl (crhs st fr) in
-      Memory.store st.mem l v;
-      v
-  | _, _ ->
+    match Eval.frame_slot env.tc env.in_mem lhs with
+    | Some slot ->
+      fun st fr ->
+        let v = Eval.coerce tl (crhs st fr) in
+        fr.vals.(slot) <- v;
+        v
+    | None ->
+      let loc = compile_lvalue env lhs in
+      fun st fr ->
+        let l = loc st fr in
+        let v = Eval.coerce tl (crhs st fr) in
+        Memory.store st.mem l v;
+        v
+  end
+  | _, _ -> begin
     let bop = Option.get (Ast.binop_of_assign op) in
-    let loc = compile_lvalue env lhs in
     let crhs = compile_expr env rhs in
     let app = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
-    fun st fr ->
-      let l = loc st fr in
-      let old = Memory.load st.mem l in
-      let vr = crhs st fr in
-      let v = Eval.coerce tl (app old vr) in
-      Memory.store st.mem l v;
-      v
+    match Eval.frame_slot env.tc env.in_mem lhs with
+    | Some slot ->
+      fun st fr ->
+        let old = fr.vals.(slot) in
+        let vr = crhs st fr in
+        let v = Eval.coerce tl (app old vr) in
+        fr.vals.(slot) <- v;
+        v
+    | None ->
+      let loc = compile_lvalue env lhs in
+      fun st fr ->
+        let l = loc st fr in
+        let old = Memory.load st.mem l in
+        let vr = crhs st fr in
+        let v = Eval.coerce tl (app old vr) in
+        Memory.store st.mem l v;
+        v
+  end
 
 and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
     ~(pre : bool) : ev =
-  let loc = compile_lvalue env a in
   let ty = ty_of env a in
   let fresh_of : state -> Value.value -> Value.value =
     match ty with
@@ -636,12 +673,21 @@ and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
       fun _ old -> Value.Vfloat (Value.float_of old +. d)
     | _ -> fun _ old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
   in
-  fun st fr ->
-    let l = loc st fr in
-    let old = Memory.load st.mem l in
-    let fresh = fresh_of st old in
-    Memory.store st.mem l fresh;
-    if pre then fresh else old
+  match Eval.frame_slot env.tc env.in_mem a with
+  | Some slot ->
+    fun st fr ->
+      let old = fr.vals.(slot) in
+      let fresh = fresh_of st old in
+      fr.vals.(slot) <- fresh;
+      if pre then fresh else old
+  | None ->
+    let loc = compile_lvalue env a in
+    fun st fr ->
+      let l = loc st fr in
+      let old = Memory.load st.mem l in
+      let fresh = fresh_of st old in
+      Memory.store st.mem l fresh;
+      if pre then fresh else old
 
 (* Calls: the site counter index, argument passing convention and callee
    dispatch are all resolved at compile time. *)
@@ -766,6 +812,10 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
     fun st fr -> ignore (ce st fr)
   | Cfg.Ilocal_init (slot, d) -> begin
     match d.Ast.d_init with
+    | Some (Ast.Iexpr e) when not env.in_mem.(slot) ->
+      let ce = compile_expr env e in
+      let ty = d.Ast.d_ty in
+      fun st fr -> fr.vals.(slot) <- Eval.coerce ty (ce st fr)
     | Some init ->
       let w = compile_write_init env d.Ast.d_ty init in
       fun st fr -> w st fr fr.locals.(slot)
@@ -793,9 +843,11 @@ let compile_block (env : cenv) (b : Cfg.block) : cblock =
     cb_costf = 1.0 +. float_of_int n_instrs;
     cb_term = compile_term env b.Cfg.b_term }
 
-let bind_param (env : cenv) (li : Typecheck.local_info) (i : int) :
+let bind_param (env : cenv) (in_mem : bool array)
+    (li : Typecheck.local_info) (i : int) :
     state -> frame -> Value.value -> unit =
   match li.Typecheck.l_ty with
+  | ty when not in_mem.(i) -> fun _ fr v -> fr.vals.(i) <- Eval.coerce ty v
   | Ctypes.Tstruct si ->
     let size = (Ctypes.find env.reg si).Ctypes.str_size in
     fun st fr v -> begin
@@ -815,7 +867,8 @@ let compile (src : Cfg.program) : prog =
   let env =
     { tc; reg = tc.Typecheck.tunit.Ast.structs; site_of_expr;
       fns = Hashtbl.create 32; global_index = Hashtbl.create 32;
-      string_index = Hashtbl.create 64; n_strings = 0; fn_info = None }
+      string_index = Hashtbl.create 64; n_strings = 0; fn_info = None;
+      in_mem = [||] }
   in
   List.iteri
     (fun i name -> Hashtbl.replace env.global_index name i)
@@ -826,9 +879,15 @@ let compile (src : Cfg.program) : prog =
     List.mapi
       (fun i (fn : Cfg.fn) ->
         let fi = fn.Cfg.fn_info in
+        let in_mem = Eval.needs_block tc fn in
         let cf =
           { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
             c_blocks = [||];
+            c_in_mem = in_mem;
+            c_mem_slots =
+              Array.of_list
+                (List.filter (fun i -> in_mem.(i))
+                   (List.init (Array.length in_mem) Fun.id));
             c_local_sizes =
               Array.map
                 (fun (li : Typecheck.local_info) ->
@@ -841,7 +900,7 @@ let compile (src : Cfg.program) : prog =
                 fi.Typecheck.fi_locals;
             c_bind_params =
               Array.mapi
-                (fun i li -> bind_param env li i)
+                (fun i li -> bind_param env in_mem li i)
                 fi.Typecheck.fi_locals;
             c_coerce_ret = Eval.coerce fn.Cfg.fn_def.Ast.f_ret }
         in
@@ -853,9 +912,11 @@ let compile (src : Cfg.program) : prog =
   List.iter2
     (fun (fn : Cfg.fn) cf ->
       env.fn_info <- Some fn.Cfg.fn_info;
+      env.in_mem <- cf.c_in_mem;
       cf.c_blocks <- Array.map (compile_block env) fn.Cfg.fn_blocks)
     src.Cfg.prog_fns fn_list;
   env.fn_info <- None;
+  env.in_mem <- [||];
   (* Global initializers, compiled in declaration order. *)
   let global_inits =
     List.filter_map
@@ -931,7 +992,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     try
       (* Globals: allocate all storage in declaration order, then run the
          initializers — the same two passes as [Eval.init_globals]. *)
-      let dummy = { locals = [||] } in
+      let dummy = { locals = [||]; vals = [||] } in
       Array.iteri
         (fun i size ->
           st.globals.(i) <-

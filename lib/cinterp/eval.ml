@@ -3,7 +3,16 @@
    Executing the same CFG the estimators analyse gives exact basic-block,
    branch-outcome and call-site counts — the role played by gcc's
    instrumentation in the paper. Expressions are evaluated directly from
-   the typed AST carried in block instructions. *)
+   the typed AST carried in block instructions.
+
+   The slot rule ([needs_block]): a local gets a [Memory] block only if
+   it is not a scalar (an aggregate, say), its address is taken ([&x]),
+   or its initializer is a brace list. Every other local and parameter
+   lives in the frame's value array, so no pointer can ever reach it and
+   nothing observable depends on where it is held. The rule reads only
+   the function's CFG, and [Compile] applies the same one, so both back
+   ends allocate the same blocks in the same order and block ids (which
+   pointer comparisons expose) stay equal between them. *)
 
 module Ast = Cfront.Ast
 module Cfg = Cfg_ir.Cfg
@@ -40,15 +49,81 @@ type genv = {
   mutable fuel : int;
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
+  slot_rules : (string, bool array) Hashtbl.t; (* [needs_block], per fn *)
 }
 
-type frame = { fn : Cfg.fn; locals : Value.ptr array }
+(* [locals.(i)] is slot [i]'s block when [in_mem.(i)]; otherwise the slot
+   lives in [vals.(i)]. *)
+type frame = {
+  fn : Cfg.fn;
+  in_mem : bool array;
+  locals : Value.ptr array;
+  vals : Value.value array;
+}
 
 (* A frame for evaluating global initializers (no locals). *)
 let null_frame (g : genv) : frame =
   match g.prog.Cfg.prog_fns with
-  | fn :: _ -> { fn; locals = [||] }
+  | fn :: _ -> { fn; in_mem = [||]; locals = [||]; vals = [||] }
   | [] -> Value.error "program has no functions"
+
+(* The slot rule: which of [fn]'s locals need a [Memory] block. True for a
+   local that is not a scalar, whose address is taken, or whose
+   initializer is a brace list; the walk covers every CFG instruction and
+   terminator. *)
+let needs_block (tc : Typecheck.t) (fn : Cfg.fn) : bool array =
+  let need =
+    Array.map
+      (fun (li : Typecheck.local_info) ->
+        match li.Typecheck.l_ty with
+        | Ctypes.Tint | Ctypes.Tchar | Ctypes.Tdouble | Ctypes.Tptr _ -> false
+        | _ -> true)
+      fn.Cfg.fn_info.Typecheck.fi_locals
+  in
+  let on_expr (e : Ast.expr) =
+    match e.Ast.enode with
+    | Ast.Unop (Ast.Uaddr, ({ Ast.enode = Ast.Ident _; _ } as a)) -> begin
+      match Typecheck.resolution_of tc a with
+      | Some (Typecheck.Rlocal slot) -> need.(slot) <- true
+      | _ -> ()
+    end
+    | _ -> ()
+  in
+  Array.iter
+    (fun (b : Cfg.block) ->
+      List.iter
+        (function
+          | Cfg.Iexpr e -> Ast.iter_expr on_expr e
+          | Cfg.Ilocal_init (slot, d) ->
+            (match d.Ast.d_init with
+            | Some (Ast.Ilist _) -> need.(slot) <- true
+            | _ -> ());
+            Ast.iter_init ~on_expr d.Ast.d_init)
+        b.Cfg.b_instrs;
+      match b.Cfg.b_term with
+      | Cfg.Tbranch (br, _, _) -> Ast.iter_expr on_expr br.Cfg.br_cond
+      | Cfg.Tswitch (e, _, _) | Cfg.Treturn (Some e) -> Ast.iter_expr on_expr e
+      | Cfg.Tjump _ | Cfg.Treturn None -> ())
+    fn.Cfg.fn_blocks;
+  need
+
+(* The frame slot an lvalue names, if it names one. *)
+let frame_slot (tc : Typecheck.t) (in_mem : bool array) (e : Ast.expr) :
+    int option =
+  match e.Ast.enode with
+  | Ast.Ident _ -> begin
+    match Typecheck.resolution_of tc e with
+    | Some (Typecheck.Rlocal slot) when not in_mem.(slot) -> Some slot
+    | _ -> None
+  end
+  | _ -> None
+
+(* The [locals] entry of a frame slot. *)
+let no_block : Value.ptr = { Value.blk = -1; off = 0 }
+
+(* Unreachable under [needs_block]: only [&x] takes a scalar local's
+   address, and that puts [x] in memory. *)
+let no_address name = Value.error "local %s has no address" name
 
 let ty_of (g : genv) (e : Ast.expr) : Ctypes.ty = Typecheck.type_of g.tc e
 
@@ -102,6 +177,8 @@ let rec eval_expr (g : genv) (fr : frame) (e : Ast.expr) : Value.value =
     | Some (Typecheck.Renum v) -> Value.Vint v
     | Some (Typecheck.Rfun name) -> Value.Vfun (Value.Fuser name)
     | Some (Typecheck.Rbuiltin name) -> Value.Vfun (Value.Fbuiltin name)
+    | Some (Typecheck.Rlocal slot) when not fr.in_mem.(slot) ->
+      fr.vals.(slot)
     | Some (Typecheck.Rlocal slot) ->
       let declared =
         fr.fn.Cfg.fn_info.Typecheck.fi_locals.(slot).Typecheck.l_ty
@@ -152,6 +229,7 @@ and eval_lvalue (g : genv) (fr : frame) (e : Ast.expr) : Value.ptr =
   match e.Ast.enode with
   | Ast.Ident name -> begin
     match Typecheck.resolution_of g.tc e with
+    | Some (Typecheck.Rlocal slot) when not fr.in_mem.(slot) -> no_address name
     | Some (Typecheck.Rlocal slot) -> fr.locals.(slot)
     | Some (Typecheck.Rglobal gname) -> begin
       match Hashtbl.find_opt g.globals gname with
@@ -367,28 +445,41 @@ and eval_assign g fr op lhs rhs : Value.value =
     let size = (Ctypes.find g.reg si).Ctypes.str_size in
     Memory.blit g.mem ~src ~dst size;
     Value.Vptr dst
-  | Ast.Aplain, _ ->
-    let loc = eval_lvalue g fr lhs in
-    let v = coerce tl (eval_expr g fr rhs) in
-    Memory.store g.mem loc v;
-    v
-  | _, _ ->
+  | Ast.Aplain, _ -> begin
+    match frame_slot g.tc fr.in_mem lhs with
+    | Some slot ->
+      let v = coerce tl (eval_expr g fr rhs) in
+      fr.vals.(slot) <- v;
+      v
+    | None ->
+      let loc = eval_lvalue g fr lhs in
+      let v = coerce tl (eval_expr g fr rhs) in
+      Memory.store g.mem loc v;
+      v
+  end
+  | _, _ -> begin
     let bop = Option.get (Ast.binop_of_assign op) in
-    let loc = eval_lvalue g fr lhs in
-    let old = Memory.load g.mem loc in
-    let vr = eval_expr g fr rhs in
-    let result =
-      apply_binop g ~ta:tl ~tb:(ty_of g rhs) bop old vr ~pos:lhs.Ast.epos
+    (* the old value is read before [rhs] runs *)
+    let update old =
+      let vr = eval_expr g fr rhs in
+      coerce tl
+        (apply_binop g ~ta:tl ~tb:(ty_of g rhs) bop old vr ~pos:lhs.Ast.epos)
     in
-    let v = coerce tl result in
-    Memory.store g.mem loc v;
-    v
+    match frame_slot g.tc fr.in_mem lhs with
+    | Some slot ->
+      let v = update fr.vals.(slot) in
+      fr.vals.(slot) <- v;
+      v
+    | None ->
+      let loc = eval_lvalue g fr lhs in
+      let v = update (Memory.load g.mem loc) in
+      Memory.store g.mem loc v;
+      v
+  end
 
 and incr_decr g fr (a : Ast.expr) ~delta ~pre : Value.value =
-  let loc = eval_lvalue g fr a in
-  let old = Memory.load g.mem loc in
   let ty = ty_of g a in
-  let fresh =
+  let step old =
     match (ty, old) with
     | Ctypes.Tptr t, Value.Vptr p ->
       Value.Vptr (Memory.offset p (delta * size_of g t))
@@ -398,8 +489,18 @@ and incr_decr g fr (a : Ast.expr) ~delta ~pre : Value.value =
       Value.Vfloat (Value.float_of old +. float_of_int delta)
     | _, _ -> coerce ty (Value.Vint (Value.int_of old + delta))
   in
-  Memory.store g.mem loc fresh;
-  if pre then fresh else old
+  match frame_slot g.tc fr.in_mem a with
+  | Some slot ->
+    let old = fr.vals.(slot) in
+    let fresh = step old in
+    fr.vals.(slot) <- fresh;
+    if pre then fresh else old
+  | None ->
+    let loc = eval_lvalue g fr a in
+    let old = Memory.load g.mem loc in
+    let fresh = step old in
+    Memory.store g.mem loc fresh;
+    if pre then fresh else old
 
 (* ------------------------------------------------------------------ *)
 (* Calls and function execution *)
@@ -433,20 +534,33 @@ and eval_call g fr (e : Ast.expr) (fn_expr : Ast.expr) (args : Ast.expr list)
 and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     =
   let fi = fn.Cfg.fn_info in
+  let in_mem =
+    match Hashtbl.find_opt g.slot_rules fn.Cfg.fn_name with
+    | Some r -> r
+    | None ->
+      let r = needs_block g.tc fn in
+      Hashtbl.replace g.slot_rules fn.Cfg.fn_name r;
+      r
+  in
   let locals =
-    Array.map
-      (fun (li : Typecheck.local_info) ->
-        Memory.alloc g.mem
-          (size_of g li.Typecheck.l_ty)
-          ~tag:(fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name))
+    Array.mapi
+      (fun i (li : Typecheck.local_info) ->
+        if in_mem.(i) then
+          Memory.alloc g.mem
+            (size_of g li.Typecheck.l_ty)
+            ~tag:(fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name)
+        else no_block)
       fi.Typecheck.fi_locals
   in
-  let fr = { fn; locals } in
+  let fr =
+    { fn; in_mem; locals; vals = Array.make (Array.length locals) (Value.Vint 0) }
+  in
   (* bind parameters *)
   List.iteri
     (fun i v ->
       let li = fi.Typecheck.fi_locals.(i) in
       match li.Typecheck.l_ty with
+      | ty when not in_mem.(i) -> fr.vals.(i) <- coerce ty v
       | Ctypes.Tstruct si -> begin
         match v with
         | Value.Vptr src ->
@@ -458,7 +572,7 @@ and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     args;
   let counters = Profile.fn_counters g.profile fn.Cfg.fn_name in
   let result = exec_blocks g fr counters fn.Cfg.fn_entry in
-  Array.iter (fun p -> Memory.kill g.mem p) locals;
+  Array.iteri (fun i p -> if in_mem.(i) then Memory.kill g.mem p) locals;
   coerce fn.Cfg.fn_def.Ast.f_ret result
 
 and exec_blocks g fr (counters : Profile.fn_counters) (start : int) :
@@ -504,6 +618,8 @@ and exec_instr g fr = function
   | Cfg.Iexpr e -> ignore (eval_expr g fr e)
   | Cfg.Ilocal_init (slot, d) -> begin
     match d.Ast.d_init with
+    | Some (Ast.Iexpr e) when not fr.in_mem.(slot) ->
+      fr.vals.(slot) <- coerce d.Ast.d_ty (eval_expr g fr e)
     | Some init -> write_init g fr fr.locals.(slot) d.Ast.d_ty init
     | None -> ()
   end
@@ -615,7 +731,8 @@ let run ?(fuel = default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     { prog; tc; reg = tc.Typecheck.tunit.Ast.structs; mem;
       bctx = Builtins.create_ctx ~input mem; globals = Hashtbl.create 32;
       strings = Hashtbl.create 32; site_of_expr;
-      profile = Profile.create prog; fuel; deadline; clock_tick }
+      profile = Profile.create prog; fuel; deadline; clock_tick;
+      slot_rules = Hashtbl.create 16 }
   in
   let finish code =
     { exit_code = code; stdout_text = Builtins.output g.bctx;

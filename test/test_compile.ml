@@ -215,6 +215,76 @@ let prop_backends_identical =
       obs Pipeline.Tree = obs Pipeline.Compiled)
 
 (* ------------------------------------------------------------------ *)
+(* The slot rule ([Eval.needs_block]): scalar locals whose address is
+   never taken live in the frame, every other local in a [Memory] block.
+   Both back ends apply it, so each pin below compares every observable,
+   diagnostics included. *)
+
+let test_slot_rule_marks () =
+  let c =
+    compile
+      {|struct pt { int x; int y; };
+int g(int a, int *b, double c) {
+  int i; int j = {3}; int arr[4]; struct pt s; char ch; int *q = &i;
+  if (&ch == (char *) 0) return 0;
+  s.x = arr[0] = j + c;
+  return *b + a + *q + s.x;
+}
+int *h(int u, int v) { int t = u; return &v + t; }
+int main(void) { int k = 1; return g(k, &k, 2.0); }|}
+  in
+  let marks name =
+    let fn = Option.get (Cfg.find_fn c.Pipeline.prog name) in
+    Array.to_list (Eval.needs_block c.Pipeline.prog.Cfg.prog_tc fn)
+  in
+  Alcotest.(check (list bool))
+    "g: a b c i j arr s ch q"
+    [ false; false; false; true; true; true; true; true; false ]
+    (marks "g");
+  Alcotest.(check (list bool)) "h: u v t" [ false; true; false ] (marks "h");
+  Alcotest.(check (list bool)) "main: k" [ true ] (marks "main")
+
+let test_slot_rule_differential () =
+  let expect name ~exit ~out src =
+    let c = compile src in
+    check_identical name c;
+    let o = run_with Pipeline.Compiled c in
+    Alcotest.(check int) (name ^ ": exit") exit o.Eval.exit_code;
+    Alcotest.(check string) (name ^ ": output") out o.Eval.stdout_text
+  in
+  expect "address-taken scalar parameter" ~exit:3 ~out:"42\n"
+    {|void bump(int *p) { *p = *p + 1; }
+int f(int x) { bump(&x); bump(&x); return x; }
+int main(void) { printf("%d\n", f(40)); return f(1); }|};
+  check_same_error "dangling pointer to a returned frame's local"
+    ~expect:"use of freed or dead object (f.x)"
+    {|int *f(int v) { int w = v + 1; int x = w; return &x; }
+int main(void) { int *p = f(3); return *p; }|};
+  expect "pointer order across a frame-only call" ~exit:3 ~out:"1 0 0 1 9\n"
+    {|int sq(int a) { int b = a * a; return b; }
+int main(void) {
+  int *p = (int *) malloc(sizeof(int));
+  int s = sq(3);
+  int *q = (int *) malloc(sizeof(int));
+  printf("%d %d %d %d %d\n", p < q, q < p, p == q, q > p, s);
+  return (p < q) + 2 * (p == p);
+}|};
+  expect "brace-initialized scalar" ~exit:7 ~out:"7\n"
+    {|int main(void) { int x = {5}; x += 2; printf("%d\n", x); return x; }|};
+  expect "recursion mixing frame and addressed locals" ~exit:55 ~out:"610\n"
+    {|void set(int *p, int v) { *p = v; }
+int fib(int n) {
+  int a; int b = 0; int r;
+  set(&a, n);
+  if (a < 2) return a;
+  r = fib(n - 1);
+  b = fib(n - 2);
+  set(&a, r + b);
+  return a;
+}
+int main(void) { printf("%d\n", fib(15)); return fib(10); }|}
+
+(* ------------------------------------------------------------------ *)
 (* Profile pin: one MD5 over every observable of every suite run and a
    fixed [Corpus.Genprog] sample on the Compiled back end — exit code,
    stdout and the %.17g [Profile.save] text (or the stop or diagnostic a
@@ -269,6 +339,9 @@ let suite =
   [ Alcotest.test_case "suite-wide profile bit-identity" `Slow
       test_suite_differential;
     Alcotest.test_case "profiles pinned" `Slow test_profile_pin;
+    Alcotest.test_case "slot rule marks" `Quick test_slot_rule_marks;
+    Alcotest.test_case "slot rule differential" `Quick
+      test_slot_rule_differential;
     Alcotest.test_case "argv and stdin" `Quick test_argv_and_stdin;
     Alcotest.test_case "identical diagnostics" `Quick test_diagnostics;
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
