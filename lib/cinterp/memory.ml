@@ -52,15 +52,17 @@ let store (m : t) (p : Value.ptr) (v : Value.value) : unit =
       (Array.length b.cells);
   b.cells.(p.Value.off) <- v
 
-let free (m : t) (p : Value.ptr) : unit =
-  if p.Value.off <> 0 then Value.error "free of interior pointer";
-  let b = lookup m p in
-  b.live <- false
-
-(* Kill a block (locals going out of scope): later access is an error. *)
+(* Kill a block (locals going out of scope, [free]): later access is an
+   error. The cells go at once; [lookup] checks [live] before any access
+   reads them, so every diagnostic stays the same. *)
 let kill (m : t) (p : Value.ptr) : unit =
   let b = lookup m p in
-  b.live <- false
+  b.live <- false;
+  b.cells <- [||]
+
+let free (m : t) (p : Value.ptr) : unit =
+  if p.Value.off <> 0 then Value.error "free of interior pointer";
+  kill m p
 
 let size_of_block (m : t) (p : Value.ptr) : int =
   Array.length (lookup m p).cells

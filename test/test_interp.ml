@@ -301,6 +301,45 @@ let test_memory_safety () =
   expect_runtime_error "division by zero"
     {|int main(void) { int z = 0; return 5 / z; }|}
 
+(* A dead block gives its cells back at once, and a later access still
+   reports the object it was. *)
+let test_dead_blocks_drop_cells () =
+  let module Memory = Cinterp.Memory in
+  let dead_access what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected a runtime error" what
+    | exception Cinterp.Value.Runtime_error m -> m
+  in
+  let m = Memory.create () in
+  let keep = Memory.alloc m 4 ~tag:"malloc" in
+  let big = Memory.alloc m 100_000 ~tag:"malloc" in
+  let local = Memory.alloc m 50_000 ~tag:"f.buf" in
+  let words () = Obj.reachable_words (Obj.repr m) in
+  let before = words () in
+  Memory.free m big;
+  let after_free = words () in
+  Alcotest.(check bool) "free releases the cells" true
+    (before - after_free >= 100_000);
+  Memory.kill m local;
+  Alcotest.(check bool) "kill releases the cells" true
+    (after_free - words () >= 50_000);
+  Alcotest.(check string) "load after free"
+    "use of freed or dead object (malloc)"
+    (dead_access "load" (fun () -> Memory.load m (Memory.offset big 99_999)));
+  Alcotest.(check string) "double free"
+    "use of freed or dead object (malloc)"
+    (dead_access "free" (fun () -> Memory.free m big));
+  Alcotest.(check string) "store after kill"
+    "use of freed or dead object (f.buf)"
+    (dead_access "store" (fun () ->
+         Memory.store m local (Cinterp.Value.Vint 1)));
+  Alcotest.(check string) "size of a dead block"
+    "use of freed or dead object (f.buf)"
+    (dead_access "size" (fun () -> Memory.size_of_block m local));
+  Memory.store m keep (Cinterp.Value.Vint 7);
+  Alcotest.(check bool) "live block untouched" true
+    (Memory.load m keep = Cinterp.Value.Vint 7)
+
 let test_fuel_limit () =
   let c = Pipeline.compile ~name:"t" "int main(void){ int i; for(i=0;i<100000;i++); return 0; }" in
   match Eval.run ~fuel:100 c.Pipeline.prog with
@@ -492,6 +531,8 @@ let suite =
     Alcotest.test_case "exit and abort" `Quick test_exit_and_abort;
     Alcotest.test_case "deterministic rand" `Quick test_rand_deterministic;
     Alcotest.test_case "memory safety" `Quick test_memory_safety;
+    Alcotest.test_case "dead blocks drop their cells" `Quick
+      test_dead_blocks_drop_cells;
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
     Alcotest.test_case "profile counters" `Quick test_profile_counters;
     QCheck_alcotest.to_alcotest prop_expression_semantics ]
