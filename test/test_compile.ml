@@ -11,8 +11,9 @@
 
    Coverage: the whole 16-program suite on every registered input, a
    qcheck property over generated programs (arrays, pointers, helper
-   calls, doubles, switch/loops, printf), and pinned regressions for the
-   fuel limit and each diagnostic class. *)
+   calls, doubles, switch/loops, printf), pinned regressions for the
+   fuel limit, each diagnostic class and the slot rule (which locals
+   get a [Memory] block), and one MD5 pinning the profiles themselves. *)
 
 module Pipeline = Core.Pipeline
 module Profile = Cinterp.Profile
