@@ -552,9 +552,8 @@ and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
         else no_block)
       fi.Typecheck.fi_locals
   in
-  let fr =
-    { fn; in_mem; locals; vals = Array.make (Array.length locals) (Value.Vint 0) }
-  in
+  let vals = Array.make (Array.length locals) (Value.Vint 0) in
+  let fr = { fn; in_mem; locals; vals } in
   (* bind parameters *)
   List.iteri
     (fun i v ->
