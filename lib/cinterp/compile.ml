@@ -12,19 +12,33 @@
 
    - expression types, element sizes and field offsets are baked into the
      closures (no side-table lookups at run time);
+   - integer work is unboxed. [compile] returns, per expression, an int
+     closure when the expression always yields a [Vint] (literals, enum
+     constants, int and char frame slots, integral arithmetic, shifts and
+     bitwise operators, assignments and [++]/[--] to int slots), a bool
+     closure for comparisons and [!]/[&&]/[||], and a [Value.value]
+     closure otherwise. The choice is made once per node, bottom up, so
+     no node is compiled twice. A value operand of an int operator is
+     matched against [Vint]; anything else takes the boxed operator,
+     which raises exactly as [Eval] does. Loads from [Memory] are never
+     assumed to be ints: [memcpy] can put a pointer or a double in an
+     int cell;
    - locals are addressed by pre-computed slot index. [Eval.needs_block]
-     (the slot rule) runs once per function here: scalar locals and
-     parameters whose address is never taken live in the frame's value
-     array and are read and written directly; only the slots the rule
-     marks get a [Memory] block, allocated in slot order as under
-     [Eval];
+     (the slot rule) runs once per function here. Scalar locals and
+     parameters whose address is never taken live in the frame: int and
+     char slots unboxed in [ivals], double and pointer slots in [vals].
+     Only the slots the rule marks get a [Memory] block, allocated in
+     slot order as under [Eval];
+   - [a[i]] and [p->f] reach memory through [Memory.load_at]/[store_at]
+     with a (base, delta) pair, so no pointer record is built per access;
    - globals are addressed by a dense index into a per-run pointer array
      instead of a name hashtable;
    - string literals get a per-literal cache slot (still allocated lazily,
      in first-execution order, so the block store evolves exactly as under
      [Eval]);
    - direct call targets and builtin dispatch are looked up ahead of time,
-     and each call site carries its profile counter index;
+     each call site carries its profile counter index, and arguments are
+     passed in an array, evaluated left to right;
    - branch and switch terminators are specialized, so the profiling hot
      loop is closure application plus counter bumps.
 
@@ -50,31 +64,56 @@ type state = {
   mem : Memory.t;
   bctx : Builtins.ctx;
   globals : Value.ptr array;            (* by [global_order] position *)
-  string_cache : Value.ptr option array;(* by literal index: fast path *)
+  string_cache : Value.value array;
+      (* by literal index: the literal's [Vptr] once interned, [Vint 0]
+         before *)
   strings : (string, Value.ptr) Hashtbl.t;
       (* content-keyed intern table, shared with argv strings so literal
          and argv interning interleave exactly as under [Eval] *)
   fcounters : Profile.fn_counters array;(* by [cfn.c_index] *)
   profile : Profile.t;
   mutable fuel : int;
+  mutable depth : int;                  (* active C calls *)
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
 
-(* As in [Eval]: [locals.(i)] is slot [i]'s block if the slot rule puts
-   it in memory, otherwise the slot lives in [vals.(i)]. *)
-type frame = { locals : Value.ptr array; vals : Value.value array }
+(* Where the slot rule puts each local, by position in the frame array
+   that holds it: unboxed int/char slots, boxed double/pointer slots, or
+   a [Memory] block. *)
+type slot = Sint of int | Sval of int | Smem of int
+
+type frame = {
+  ivals : int array;
+  vals : Value.value array;
+  locals : Value.ptr array; (* the [Smem] blocks, in slot order *)
+}
 
 type ev = state -> frame -> Value.value   (* compiled expression *)
+type iv = state -> frame -> int
+type bv = state -> frame -> bool
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
+
+(* What [compile] makes of one expression: an [Int] always yields a
+   [Vint], a [Bool] always [Vint 0] or [Vint 1]. *)
+type code = Int of iv | Bool of bv | Val of ev
+
+(* A binary operator with its operand types resolved. [Oint (fast,
+   slow)] always yields an int: [fast] on two ints, [slow] on any two
+   values, raising as [Eval.apply_binop] does. [Obool] likewise for
+   comparisons. *)
+type op =
+  | Oint of (int -> int -> int) * (Value.value -> Value.value -> int)
+  | Obool of (int -> int -> bool) * (Value.value -> Value.value -> bool)
+  | Oval of (Value.value -> Value.value -> Value.value)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled program representation. *)
 
 type cterm =
   | Cjump of int
-  | Cbranch of ev * int * int
-  | Cswitch of ev * (int, int) Hashtbl.t * int
+  | Cbranch of bv * int * int
+  | Cswitch of iv * (int, int) Hashtbl.t * int
   | Creturn of ev
 
 type cblock = {
@@ -89,10 +128,11 @@ type cfn = {
   c_index : int;                        (* position in [prog_fns] *)
   c_entry : int;
   mutable c_blocks : cblock array;      (* patched in phase 2 *)
-  c_in_mem : bool array;                (* the slot rule *)
-  c_mem_slots : int array;              (* slots with a block, in order *)
-  c_local_sizes : int array;
-  c_local_tags : string array;
+  c_slots : slot array;                 (* the slot rule, placed *)
+  c_n_ints : int;
+  c_n_vals : int;
+  c_mem_sizes : int array;              (* per [locals] entry *)
+  c_mem_tags : string array;
   c_bind_params : (state -> frame -> Value.value -> unit) array;
   c_coerce_ret : Value.value -> Value.value;
 }
@@ -122,7 +162,127 @@ let intern_rt (st : state) (s : string) : Value.ptr =
     Hashtbl.replace st.strings s p;
     p
 
-let truthy = Value.to_bool
+let vzero = Value.Vint 0
+let vone = Value.Vint 1
+
+(* [Eval.coerce] into an int or char object, unboxed. *)
+let wrap char n = if char then Value.wrap8 n else Value.wrap32 n
+
+let coerce_int (ty : Ctypes.ty) (v : Value.value) : int =
+  (* [coerce] yields a [Vint] for int and char, or raises *)
+  Value.int_of (Eval.coerce ty v)
+
+(* Fresh frame arrays. Small ones are built inline: [Array.make] is a C
+   call. *)
+let make_ints = function
+  | 0 -> [||]
+  | 1 -> [| 0 |]
+  | 2 -> [| 0; 0 |]
+  | 3 -> [| 0; 0; 0 |]
+  | 4 -> [| 0; 0; 0; 0 |]
+  | 5 -> [| 0; 0; 0; 0; 0 |]
+  | 6 -> [| 0; 0; 0; 0; 0; 0 |]
+  | n -> Array.make n 0
+
+let make_vals = function
+  | 0 -> [||]
+  | 1 -> [| vzero |]
+  | 2 -> [| vzero; vzero |]
+  | 3 -> [| vzero; vzero; vzero |]
+  | n -> Array.make n vzero
+
+let to_ev : code -> ev = function
+  | Val ce -> ce
+  | Int ci -> fun st fr -> Value.Vint (ci st fr)
+  | Bool cb -> fun st fr -> if cb st fr then vone else vzero
+
+let to_bv : code -> bv = function
+  | Bool cb -> cb
+  | Int ci -> fun st fr -> ci st fr <> 0
+  | Val ce -> fun st fr -> Value.to_bool (ce st fr)
+
+(* The int where the boxed code calls [Value.int_of]. *)
+let to_iv : code -> iv = function
+  | Int ci -> ci
+  | Bool cb -> fun st fr -> if cb st fr then 1 else 0
+  | Val ce -> fun st fr -> Value.int_of (ce st fr)
+
+let effect : code -> state -> frame -> unit = function
+  | Int ci -> fun st fr -> ignore (ci st fr)
+  | Bool cb -> fun st fr -> ignore (cb st fr)
+  | Val ce -> fun st fr -> ignore (ce st fr)
+
+(* An operator over two compiled operands, [a] evaluated first. An
+   operand that is not a sure int is matched against [Vint]; any other
+   value goes, with its partner, to [slow]. *)
+let fuse (fast : int -> int -> 'r) (slow : Value.value -> Value.value -> 'r)
+    (ka : code) (kb : code) : state -> frame -> 'r =
+  match (ka, kb) with
+  | (Int _ | Bool _), (Int _ | Bool _) ->
+    let ia = to_iv ka and ib = to_iv kb in
+    fun st fr ->
+      let x = ia st fr in
+      fast x (ib st fr)
+  | (Int _ | Bool _), Val cb ->
+    let ia = to_iv ka in
+    fun st fr ->
+      let x = ia st fr in
+      (match cb st fr with
+      | Value.Vint y -> fast x y
+      | vb -> slow (Value.Vint x) vb)
+  | Val ca, (Int _ | Bool _) ->
+    let ib = to_iv kb in
+    fun st fr ->
+      let va = ca st fr in
+      let y = ib st fr in
+      (match va with
+      | Value.Vint x -> fast x y
+      | _ -> slow va (Value.Vint y))
+  | Val ca, Val cb ->
+    fun st fr ->
+      let va = ca st fr in
+      let vb = cb st fr in
+      (match (va, vb) with
+      | Value.Vint x, Value.Vint y -> fast x y
+      | _ -> slow va vb)
+
+let boxed_op : op -> Value.value -> Value.value -> Value.value = function
+  | Oint (_, slow) -> fun va vb -> Value.Vint (slow va vb)
+  | Obool (_, slow) -> fun va vb -> if slow va vb then vone else vzero
+  | Oval app -> app
+
+let compile_args : ev list -> state -> frame -> Value.value array = function
+  | [] -> fun _ _ -> [||]
+  | [ a ] -> fun st fr -> [| a st fr |]
+  | [ a; b ] ->
+    fun st fr ->
+      let x = a st fr in
+      [| x; b st fr |]
+  | [ a; b; c ] ->
+    fun st fr ->
+      let x = a st fr in
+      let y = b st fr in
+      [| x; y; c st fr |]
+  | cargs ->
+    let cargs = Array.of_list cargs in
+    fun st fr ->
+      let argv = Array.make (Array.length cargs) vzero in
+      for i = 0 to Array.length cargs - 1 do
+        argv.(i) <- cargs.(i) st fr
+      done;
+      argv
+
+let alloc_locals (st : state) (cf : cfn) : Value.ptr array =
+  let sizes = cf.c_mem_sizes and tags = cf.c_mem_tags in
+  match Array.length sizes with
+  | 0 -> [||]
+  | 1 -> [| Memory.alloc st.mem sizes.(0) ~tag:tags.(0) |]
+  | n ->
+    let locals = Array.make n Eval.no_block in
+    for k = 0 to n - 1 do
+      locals.(k) <- Memory.alloc st.mem sizes.(k) ~tag:tags.(k)
+    done;
+    locals
 
 (* The profiling hot loop: closure application plus counter bumps. *)
 let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
@@ -151,7 +311,7 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
     match blk.cb_term with
     | Cjump next -> run next
     | Cbranch (cond, t, f) ->
-      if truthy (cond st fr) then begin
+      if cond st fr then begin
         bt.(bid) <- bt.(bid) +. 1.0;
         run t
       end
@@ -160,7 +320,7 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
         run f
       end
     | Cswitch (scrutinee, table, default) ->
-      let v = Value.int_of (scrutinee st fr) in
+      let v = scrutinee st fr in
       run
         (match Hashtbl.find_opt table v with
         | Some t -> t
@@ -169,26 +329,25 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
   in
   run start
 
-(* Mirror of [Eval.exec_fn]: allocate the blocks the slot rule asks for
-   (same order, same tags), bind parameters, run the blocks, kill those
-   blocks, coerce the result. *)
-and call_fn (st : state) (cf : cfn) (args : Value.value list) : Value.value =
-  let n = Array.length cf.c_in_mem in
-  let mem_slots = cf.c_mem_slots in
-  let locals =
-    if Array.length mem_slots = 0 then [||] else Array.make n Eval.no_block
+(* Mirror of [Eval.exec_fn]: check the call depth, allocate the blocks
+   the slot rule asks for (same order, same tags), bind parameters, run
+   the blocks, kill those blocks, coerce the result. *)
+and call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
+  if st.depth >= Eval.max_call_depth then Eval.call_too_deep ();
+  let locals = alloc_locals st cf in
+  let fr =
+    { ivals = make_ints cf.c_n_ints; vals = make_vals cf.c_n_vals; locals }
   in
-  for k = 0 to Array.length mem_slots - 1 do
-    let i = mem_slots.(k) in
-    locals.(i) <-
-      Memory.alloc st.mem cf.c_local_sizes.(i) ~tag:cf.c_local_tags.(i)
+  let bind = cf.c_bind_params in
+  for i = 0 to Array.length args - 1 do
+    bind.(i) st fr args.(i)
   done;
-  let fr = { locals; vals = Array.make n (Value.Vint 0) } in
-  List.iteri (fun i v -> cf.c_bind_params.(i) st fr v) args;
+  st.depth <- st.depth + 1;
   let counters = st.fcounters.(cf.c_index) in
   let result = exec_blocks st fr cf counters cf.c_entry in
-  for k = 0 to Array.length mem_slots - 1 do
-    Memory.kill st.mem locals.(mem_slots.(k))
+  st.depth <- st.depth - 1;
+  for k = 0 to Array.length locals - 1 do
+    Memory.kill st.mem locals.(k)
   done;
   cf.c_coerce_ret result
 
@@ -204,7 +363,7 @@ type cenv = {
   string_index : (string, int) Hashtbl.t;
   mutable n_strings : int;
   mutable fn_info : Typecheck.fun_info option; (* function being compiled *)
-  mutable in_mem : bool array; (* its slot rule, from [Eval.needs_block] *)
+  mutable slots : slot array; (* its slot placement *)
 }
 
 let ty_of (env : cenv) (e : Ast.expr) : Ctypes.ty =
@@ -221,6 +380,20 @@ let local_ty (env : cenv) (slot : int) : Ctypes.ty =
   match env.fn_info with
   | Some fi -> fi.Typecheck.fi_locals.(slot).Typecheck.l_ty
   | None -> Value.error "local reference outside a function"
+
+let is_aggregate = function
+  | Ctypes.Tstruct _ | Ctypes.Tarray _ -> true
+  | _ -> false
+
+(* The frame or memory slot a local names, if [e] names a local. *)
+let slot_of (env : cenv) (e : Ast.expr) : slot option =
+  match e.Ast.enode with
+  | Ast.Ident _ -> begin
+    match Typecheck.resolution_of env.tc e with
+    | Some (Typecheck.Rlocal slot) -> Some env.slots.(slot)
+    | _ -> None
+  end
+  | _ -> None
 
 let string_idx (env : cenv) (s : string) : int =
   match Hashtbl.find_opt env.string_index s with
@@ -254,219 +427,295 @@ let designated_ty (env : cenv) (e : Ast.expr) : Ctypes.ty =
   end
   | _ -> ty_of env e
 
+(* Store a compiled value into int slot [k] as [Eval.coerce ty] would,
+   and yield it. *)
+let assign_int (ty : Ctypes.ty) (k : int) (code : code) : iv =
+  let char = ty = Ctypes.Tchar in
+  match code with
+  | Int _ | Bool _ ->
+    let ci = to_iv code in
+    fun st fr ->
+      let v = wrap char (ci st fr) in
+      fr.ivals.(k) <- v;
+      v
+  | Val ce ->
+    fun st fr ->
+      let v = coerce_int ty (ce st fr) in
+      fr.ivals.(k) <- v;
+      v
+
+(* An address that needs no delta. *)
+let no_delta : iv = fun _ _ -> 0
+
 (* ------------------------------------------------------------------ *)
 (* Expression compilation. Each function returns a closure; all matches
    on types/resolutions happen here, once. *)
 
-let rec compile_expr (env : cenv) (e : Ast.expr) : ev =
+let rec compile (env : cenv) (e : Ast.expr) : code =
   match e.Ast.enode with
   | Ast.IntLit n ->
-    let v = Value.Vint (Value.wrap32 n) in
-    fun _ _ -> v
-  | Ast.CharLit c ->
-    let v = Value.Vint c in
-    fun _ _ -> v
+    let n = Value.wrap32 n in
+    Int (fun _ _ -> n)
+  | Ast.CharLit c -> Int (fun _ _ -> c)
   | Ast.FloatLit f ->
     let v = Value.Vfloat f in
-    fun _ _ -> v
+    Val (fun _ _ -> v)
   | Ast.StringLit s ->
     let idx = string_idx env s in
-    fun st _ -> begin
-      match st.string_cache.(idx) with
-      | Some p -> Value.Vptr p
-      | None ->
-        let p = intern_rt st s in
-        st.string_cache.(idx) <- Some p;
-        Value.Vptr p
-    end
+    Val
+      (fun st _ ->
+        match st.string_cache.(idx) with
+        | Value.Vptr _ as v -> v
+        | _ ->
+          let v = Value.Vptr (intern_rt st s) in
+          st.string_cache.(idx) <- v;
+          v)
   | Ast.Ident _ -> compile_ident env e
   | Ast.Unop (op, a) -> compile_unop env op a
   | Ast.Binop (op, a, b) -> compile_binop env op a b
   | Ast.Assign (op, lhs, rhs) -> compile_assign env op lhs rhs
-  | Ast.Cond (c, a, b) ->
-    let cc = compile_expr env c in
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr -> if truthy (cc st fr) then ca st fr else cb st fr
-  | Ast.Call (fn, args) -> compile_call env e fn args
+  | Ast.Cond (c, a, b) -> begin
+    let cc = to_bv (compile env c) in
+    match (compile env a, compile env b) with
+    | ((Int _ | Bool _) as ka), ((Int _ | Bool _) as kb) ->
+      let ia = to_iv ka and ib = to_iv kb in
+      Int (fun st fr -> if cc st fr then ia st fr else ib st fr)
+    | ka, kb ->
+      let ca = to_ev ka and cb = to_ev kb in
+      Val (fun st fr -> if cc st fr then ca st fr else cb st fr)
+  end
+  | Ast.Call (fn, args) -> Val (compile_call env e fn args)
   | Ast.Cast (ty, a) -> begin
-    let ca = compile_expr env a in
-    match ty with
-    | Ctypes.Tvoid ->
-      fun st fr ->
-        ignore (ca st fr);
-        Value.Vint 0
-    | Ctypes.Tptr _ ->
-      fun st fr ->
-        let v = ca st fr in
-        if Value.is_null v then Value.Vint 0 else v
-    | _ -> fun st fr -> Eval.coerce ty (ca st fr)
+    let k = compile env a in
+    match (ty, k) with
+    | Ctypes.Tvoid, _ ->
+      let ea = effect k in
+      Int
+        (fun st fr ->
+          ea st fr;
+          0)
+    | Ctypes.Tptr _, _ ->
+      let ca = to_ev k in
+      Val
+        (fun st fr ->
+          let v = ca st fr in
+          if Value.is_null v then vzero else v)
+    | (Ctypes.Tint | Ctypes.Tchar), (Int _ | Bool _) ->
+      let char = ty = Ctypes.Tchar and ia = to_iv k in
+      Int (fun st fr -> wrap char (ia st fr))
+    | (Ctypes.Tint | Ctypes.Tchar), Val ca ->
+      Int (fun st fr -> coerce_int ty (ca st fr))
+    | _ ->
+      let ca = to_ev k in
+      Val (fun st fr -> Eval.coerce ty (ca st fr))
   end
   | Ast.Index _ | Ast.Field _ | Ast.Arrow _ ->
-    let loc = compile_lvalue env e in
-    compile_load (designated_ty env e) loc
+    Val (compile_load env (designated_ty env e) e)
   | Ast.SizeofT ty ->
-    let v = Value.Vint (size_of env ty) in
-    fun _ _ -> v
+    let n = size_of env ty in
+    Int (fun _ _ -> n)
   | Ast.SizeofE a ->
-    let v = Value.Vint (size_of env (ty_of env a)) in
-    fun _ _ -> v
+    let n = size_of env (ty_of env a) in
+    Int (fun _ _ -> n)
   | Ast.PreIncr a -> compile_incr_decr env a ~delta:1 ~pre:true
   | Ast.PreDecr a -> compile_incr_decr env a ~delta:(-1) ~pre:true
   | Ast.PostIncr a -> compile_incr_decr env a ~delta:1 ~pre:false
   | Ast.PostDecr a -> compile_incr_decr env a ~delta:(-1) ~pre:false
-  | Ast.Comma (a, b) ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr ->
-      ignore (ca st fr);
-      cb st fr
+  | Ast.Comma (a, b) -> begin
+    let ea = effect (compile env a) in
+    match compile env b with
+    | Int ib ->
+      Int
+        (fun st fr ->
+          ea st fr;
+          ib st fr)
+    | Bool bb ->
+      Bool
+        (fun st fr ->
+          ea st fr;
+          bb st fr)
+    | Val cb ->
+      Val
+        (fun st fr ->
+          ea st fr;
+          cb st fr)
+  end
+
+and compile_expr (env : cenv) (e : Ast.expr) : ev = to_ev (compile env e)
 
 (* Load through a pre-resolved declared type: aggregates evaluate to their
    address, scalars to the stored cell. *)
-and compile_load (ty : Ctypes.ty) (loc : lv) : ev =
-  match ty with
-  | Ctypes.Tstruct _ | Ctypes.Tarray _ -> fun st fr -> Value.Vptr (loc st fr)
-  | _ -> fun st fr -> Memory.load st.mem (loc st fr)
+and compile_load (env : cenv) (ty : Ctypes.ty) (e : Ast.expr) : ev =
+  if is_aggregate ty then
+    let loc = compile_lvalue env e in
+    fun st fr -> Value.Vptr (loc st fr)
+  else
+    let base, delta = compile_addr env e in
+    fun st fr ->
+      let b = base st fr in
+      Memory.load_at st.mem b (delta st fr)
 
-and compile_ident (env : cenv) (e : Ast.expr) : ev =
+and compile_ident (env : cenv) (e : Ast.expr) : code =
   match Typecheck.resolution_of env.tc e with
-  | Some (Typecheck.Renum v) ->
-    let v = Value.Vint v in
-    fun _ _ -> v
+  | Some (Typecheck.Renum v) -> Int (fun _ _ -> v)
   | Some (Typecheck.Rfun name) ->
     let v = Value.Vfun (Value.Fuser name) in
-    fun _ _ -> v
+    Val (fun _ _ -> v)
   | Some (Typecheck.Rbuiltin name) ->
     let v = Value.Vfun (Value.Fbuiltin name) in
-    fun _ _ -> v
-  | Some (Typecheck.Rlocal slot) when not env.in_mem.(slot) ->
-    fun _ fr -> fr.vals.(slot)
+    Val (fun _ _ -> v)
   | Some (Typecheck.Rlocal slot) -> begin
-    match local_ty env slot with
-    | Ctypes.Tstruct _ | Ctypes.Tarray _ ->
-      fun _ fr -> Value.Vptr fr.locals.(slot)
-    | _ -> fun st fr -> Memory.load st.mem fr.locals.(slot)
+    match env.slots.(slot) with
+    | Sint k -> Int (fun _ fr -> fr.ivals.(k))
+    | Sval k -> Val (fun _ fr -> fr.vals.(k))
+    | Smem k when is_aggregate (local_ty env slot) ->
+      Val (fun _ fr -> Value.Vptr fr.locals.(k))
+    | Smem k -> Val (fun st fr -> Memory.load st.mem fr.locals.(k))
   end
   | Some (Typecheck.Rglobal gname) -> begin
     let d = Hashtbl.find env.tc.Typecheck.globals gname in
     match Hashtbl.find_opt env.global_index gname with
-    | None -> fun _ _ -> Value.error "global %s has no storage" gname
-    | Some gi -> begin
-      match d.Ast.d_ty with
-      | Ctypes.Tstruct _ | Ctypes.Tarray _ ->
-        fun st _ -> Value.Vptr st.globals.(gi)
-      | _ -> fun st _ -> Memory.load st.mem st.globals.(gi)
-    end
+    | None -> Val (fun _ _ -> Value.error "global %s has no storage" gname)
+    | Some gi when is_aggregate d.Ast.d_ty ->
+      Val (fun st _ -> Value.Vptr st.globals.(gi))
+    | Some gi -> Val (fun st _ -> Memory.load st.mem st.globals.(gi))
   end
   | None ->
     let msg =
       Printf.sprintf "unresolved identifier at %s"
         (Format.asprintf "%a" Cfront.Token.pp_pos e.Ast.epos)
     in
-    fun _ _ -> raise (Error msg)
+    Val (fun _ _ -> raise (Error msg))
 
-and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
+(* The object an lvalue designates, as [(base, delta)]: it is
+   [Memory.offset base delta], with [base] evaluated first. *)
+and compile_addr (env : cenv) (e : Ast.expr) : lv * iv =
   match e.Ast.enode with
   | Ast.Ident name -> begin
     match Typecheck.resolution_of env.tc e with
-    | Some (Typecheck.Rlocal slot) when not env.in_mem.(slot) ->
-      fun _ _ -> Eval.no_address name
-    | Some (Typecheck.Rlocal slot) -> fun _ fr -> fr.locals.(slot)
+    | Some (Typecheck.Rlocal slot) -> begin
+      match env.slots.(slot) with
+      | Smem k -> ((fun _ fr -> fr.locals.(k)), no_delta)
+      | Sint _ | Sval _ -> ((fun _ _ -> Eval.no_address name), no_delta)
+    end
     | Some (Typecheck.Rglobal gname) -> begin
       match Hashtbl.find_opt env.global_index gname with
-      | Some gi -> fun st _ -> st.globals.(gi)
-      | None -> fun _ _ -> Value.error "global %s has no storage" gname
+      | Some gi -> ((fun st _ -> st.globals.(gi)), no_delta)
+      | None ->
+        ((fun _ _ -> Value.error "global %s has no storage" gname), no_delta)
     end
-    | _ -> fun _ _ -> Value.error "%s is not an object" name
+    | _ -> ((fun _ _ -> Value.error "%s is not an object" name), no_delta)
   end
-  | Ast.Unop (Ast.Uderef, a) -> compile_expect_ptr env a
-  | Ast.Index (a, i) -> begin
+  | Ast.Unop (Ast.Uderef, a) -> (compile_ptr env a, no_delta)
+  | Ast.Index (a, i) ->
     (* Mirror [Eval.eval_lvalue]: when [a] is the pointer, evaluate the
        base from [a] and the index from [i]; otherwise the reversed
        [i[a]] form evaluates the base from [i] first. *)
-    match ty_of env a with
-    | Ctypes.Tptr t ->
-      let base = compile_expect_ptr env a in
-      let scale = size_of env t in
-      let idx = compile_expr env i in
-      fun st fr ->
-        let b = base st fr in
-        let ix = Value.int_of (idx st fr) in
-        Memory.offset b (ix * scale)
-    | _ ->
-      let base = compile_expect_ptr env i in
-      let scale = size_of env (Option.get (pointee env i)) in
-      let idx = compile_expr env a in
-      fun st fr ->
-        let b = base st fr in
-        let ix = Value.int_of (idx st fr) in
-        Memory.offset b (ix * scale)
-  end
+    let base, elt, idx =
+      match ty_of env a with
+      | Ctypes.Tptr t -> (a, t, i)
+      | _ -> (i, Option.get (pointee env i), a)
+    in
+    let base = compile_ptr env base in
+    let scale = size_of env elt in
+    let idx = to_iv (compile env idx) in
+    (base, if scale = 1 then idx else fun st fr -> idx st fr * scale)
   | Ast.Field (a, fname) -> begin
     match ty_of env a with
     | Ctypes.Tstruct si ->
       let off = (Ctypes.find_field env.reg si fname).Ctypes.fld_offset in
-      let base = compile_lvalue env a in
-      fun st fr -> Memory.offset (base st fr) off
+      let base, delta = compile_addr env a in
+      if delta == no_delta then (base, fun _ _ -> off)
+      else (base, fun st fr -> delta st fr + off)
     | t ->
-      let msg =
-        Printf.sprintf ".%s on %s" fname (Ctypes.to_string t)
-      in
-      fun _ _ -> raise (Error msg)
+      let msg = Printf.sprintf ".%s on %s" fname (Ctypes.to_string t) in
+      ((fun _ _ -> raise (Error msg)), no_delta)
   end
   | Ast.Arrow (a, fname) -> begin
     match ty_of env a with
     | Ctypes.Tptr (Ctypes.Tstruct si) ->
       let off = (Ctypes.find_field env.reg si fname).Ctypes.fld_offset in
-      let base = compile_expect_ptr env a in
-      fun st fr -> Memory.offset (base st fr) off
+      (compile_ptr env a, fun _ _ -> off)
     | t ->
-      let msg =
-        Printf.sprintf "->%s on %s" fname (Ctypes.to_string t)
-      in
-      fun _ _ -> raise (Error msg)
+      let msg = Printf.sprintf "->%s on %s" fname (Ctypes.to_string t) in
+      ((fun _ _ -> raise (Error msg)), no_delta)
   end
-  | _ -> fun _ _ -> Value.error "expression is not an lvalue"
+  | _ -> ((fun _ _ -> Value.error "expression is not an lvalue"), no_delta)
 
-and compile_expect_ptr (env : cenv) (e : Ast.expr) : lv =
-  let ce = compile_expr env e in
-  fun st fr ->
-    match ce st fr with
-    | Value.Vptr p -> p
-    | Value.Vint 0 -> Value.error "null pointer dereference"
-    | v -> Value.error "expected a pointer, got %s" (Value.to_string v)
+and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
+  let base, delta = compile_addr env e in
+  if delta == no_delta then base
+  else fun st fr ->
+    let b = base st fr in
+    Memory.offset b (delta st fr)
 
-and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : ev =
-  match op with
-  | Ast.Uplus -> compile_expr env a
-  | Ast.Uneg ->
-    let ca = compile_expr env a in
-    fun st fr -> begin
-      match ca st fr with
-      | Value.Vint n -> Value.Vint (Value.wrap32 (-n))
-      | Value.Vfloat f -> Value.Vfloat (-.f)
-      | v -> Value.error "cannot negate %s" (Value.to_string v)
+(* An expression that must yield a pointer. An aggregate local or global
+   yields its block directly, without a [Vptr] box. *)
+and compile_ptr (env : cenv) (e : Ast.expr) : lv =
+  let direct =
+    match e.Ast.enode with
+    | Ast.Ident _ -> begin
+      match Typecheck.resolution_of env.tc e with
+      | Some (Typecheck.Rlocal slot) -> begin
+        match env.slots.(slot) with
+        | Smem k when is_aggregate (local_ty env slot) ->
+          Some (fun _ fr -> fr.locals.(k))
+        | _ -> None
+      end
+      | Some (Typecheck.Rglobal gname) -> begin
+        let d = Hashtbl.find env.tc.Typecheck.globals gname in
+        match Hashtbl.find_opt env.global_index gname with
+        | Some gi when is_aggregate d.Ast.d_ty ->
+          Some (fun st _ -> st.globals.(gi))
+        | _ -> None
+      end
+      | _ -> None
     end
+    | _ -> None
+  in
+  match direct with
+  | Some p -> p
+  | None ->
+    let ce = compile_expr env e in
+    fun st fr -> begin
+      match ce st fr with
+      | Value.Vptr p -> p
+      | Value.Vint 0 -> Value.error "null pointer dereference"
+      | v -> Value.error "expected a pointer, got %s" (Value.to_string v)
+    end
+
+and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : code =
+  match op with
+  | Ast.Uplus -> compile env a
+  | Ast.Uneg -> begin
+    match compile env a with
+    | (Int _ | Bool _) as k ->
+      let ia = to_iv k in
+      Int (fun st fr -> Value.wrap32 (-ia st fr))
+    | Val ca ->
+      Val
+        (fun st fr ->
+          match ca st fr with
+          | Value.Vint n -> Value.Vint (Value.wrap32 (-n))
+          | Value.Vfloat f -> Value.Vfloat (-.f)
+          | v -> Value.error "cannot negate %s" (Value.to_string v))
+  end
   | Ast.Unot ->
-    let ca = compile_expr env a in
-    fun st fr -> Value.Vint (if truthy (ca st fr) then 0 else 1)
+    let ca = to_bv (compile env a) in
+    Bool (fun st fr -> not (ca st fr))
   | Ast.Ubnot ->
-    let ca = compile_expr env a in
-    fun st fr -> Value.Vint (Value.wrap32 (lnot (Value.int_of (ca st fr))))
+    let ia = to_iv (compile env a) in
+    Int (fun st fr -> Value.wrap32 (lnot (ia st fr)))
   | Ast.Uderef -> begin
     match ty_of env a with
-    | Ctypes.Tptr (Ctypes.Tfun _) -> compile_expr env a
-    | Ctypes.Tptr t -> begin
-      let p = compile_expect_ptr env a in
-      match t with
-      | Ctypes.Tarray _ | Ctypes.Tstruct _ ->
-        fun st fr -> Value.Vptr (p st fr)
-      | _ -> fun st fr -> Memory.load st.mem (p st fr)
-    end
+    | Ctypes.Tptr (Ctypes.Tfun _) -> compile env a
+    | Ctypes.Tptr t ->
+      let p = compile_ptr env a in
+      if is_aggregate t then Val (fun st fr -> Value.Vptr (p st fr))
+      else Val (fun st fr -> Memory.load st.mem (p st fr))
     | t ->
       let msg = Printf.sprintf "dereferencing %s" (Ctypes.to_string t) in
-      fun _ _ -> raise (Error msg)
+      Val (fun _ _ -> raise (Error msg))
   end
   | Ast.Uaddr -> begin
     match a.Ast.enode with
@@ -474,51 +723,56 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : ev =
       when (match Typecheck.resolution_of env.tc a with
            | Some (Typecheck.Rfun _ | Typecheck.Rbuiltin _) -> true
            | _ -> false) ->
-      compile_expr env a
+      compile env a
     | _ ->
       let loc = compile_lvalue env a in
-      fun st fr -> Value.Vptr (loc st fr)
+      Val (fun st fr -> Value.Vptr (loc st fr))
   end
 
 and compile_binop (env : cenv) (op : Ast.binop) (a : Ast.expr) (b : Ast.expr)
-    : ev =
+    : code =
+  let ka = compile env a in
+  let kb = compile env b in
   match op with
   | Ast.Bland ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr ->
-      if not (truthy (ca st fr)) then Value.Vint 0
-      else Value.Vint (if truthy (cb st fr) then 1 else 0)
+    let ca = to_bv ka and cb = to_bv kb in
+    Bool (fun st fr -> ca st fr && cb st fr)
   | Ast.Blor ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    fun st fr ->
-      if truthy (ca st fr) then Value.Vint 1
-      else Value.Vint (if truthy (cb st fr) then 1 else 0)
-  | _ ->
-    let ca = compile_expr env a in
-    let cb = compile_expr env b in
-    let app = compile_apply_binop env ~ta:(ty_of env a) ~tb:(ty_of env b) op in
-    fun st fr ->
-      let va = ca st fr in
-      let vb = cb st fr in
-      app va vb
+    let ca = to_bv ka and cb = to_bv kb in
+    Bool (fun st fr -> ca st fr || cb st fr)
+  | _ -> begin
+    match compile_apply_binop env ~ta:(ty_of env a) ~tb:(ty_of env b) op with
+    | Oint (fast, slow) -> Int (fuse fast slow ka kb)
+    | Obool (fast, slow) -> Bool (fuse fast slow ka kb)
+    | Oval app ->
+      let ca = to_ev ka and cb = to_ev kb in
+      Val
+        (fun st fr ->
+          let va = ca st fr in
+          let vb = cb st fr in
+          app va vb)
+  end
 
 (* Specialized [Eval.apply_binop]: the type dispatch, element sizes and
-   float-context decision happen at compile time. *)
+   float-context decision happen at compile time. Each [slow] keeps the
+   boxed code's order of conversions: for [/] and [%], the zero check
+   comes before the left operand is converted. *)
 and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
-    (op : Ast.binop) : Value.value -> Value.value -> Value.value =
-  let int_op f va vb =
-    Value.Vint (Value.wrap32 (f (Value.int_of va) (Value.int_of vb)))
+    (op : Ast.binop) : op =
+  let int_op fast f =
+    Oint
+      (fast, fun va vb -> Value.wrap32 (f (Value.int_of va) (Value.int_of vb)))
   in
   let float_ctx = ta = Ctypes.Tdouble || tb = Ctypes.Tdouble in
-  let arith fint ffloat =
-    if float_ctx then fun va vb ->
-      Value.Vfloat (ffloat (Value.float_of va) (Value.float_of vb))
-    else int_op fint
+  let arith fast fint ffloat =
+    if float_ctx then
+      Oval
+        (fun va vb ->
+          Value.Vfloat (ffloat (Value.float_of va) (Value.float_of vb)))
+    else int_op fast fint
   in
-  let compare_with lt va vb =
-    let result =
+  let compare_with (lt : int -> int -> bool) =
+    let slow va vb =
       match (va, vb) with
       | Value.Vptr p, Value.Vptr q ->
         if p.Value.blk <> q.Value.blk then
@@ -531,163 +785,231 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
           lt (compare (Value.float_of va) (Value.float_of vb)) 0
         else lt (compare (Value.int_of va) (Value.int_of vb)) 0
     in
-    Value.Vint (if result then 1 else 0)
+    let fast =
+      if float_ctx then fun x y ->
+        lt (compare (float_of_int x) (float_of_int y)) 0
+      else lt
+    in
+    Obool (fast, slow)
+  in
+  let divide msg fast f =
+    Oint
+      ( (fun x d ->
+          if d = 0 then Value.error "%s" msg;
+          fast x d),
+        fun va vb ->
+          let d = Value.int_of vb in
+          if d = 0 then Value.error "%s" msg;
+          Value.wrap32 (f (Value.int_of va) d) )
   in
   match op with
   | Ast.Badd -> begin
     match (ta, tb) with
     | Ctypes.Tptr t, _ ->
       let sz = size_of env t in
-      fun va vb ->
-        let p = Eval.expect_ptr_value va in
-        Value.Vptr (Memory.offset p (Value.int_of vb * sz))
+      Oval
+        (fun va vb ->
+          let p = Eval.expect_ptr_value va in
+          Value.Vptr (Memory.offset p (Value.int_of vb * sz)))
     | _, Ctypes.Tptr t ->
       let sz = size_of env t in
-      fun va vb ->
-        let p = Eval.expect_ptr_value vb in
-        Value.Vptr (Memory.offset p (Value.int_of va * sz))
-    | _ -> arith ( + ) ( +. )
+      Oval
+        (fun va vb ->
+          let p = Eval.expect_ptr_value vb in
+          Value.Vptr (Memory.offset p (Value.int_of va * sz)))
+    | _ -> arith (fun x y -> Value.wrap32 (x + y)) ( + ) ( +. )
   end
   | Ast.Bsub -> begin
     match (ta, tb) with
     | Ctypes.Tptr t, Ctypes.Tptr _ ->
       let sz = size_of env t in
-      fun va vb -> begin
-        match (va, vb) with
-        | Value.Vptr p, Value.Vptr q when p.Value.blk = q.Value.blk ->
-          Value.Vint ((p.Value.off - q.Value.off) / sz)
-        | Value.Vptr _, Value.Vptr _ ->
-          Value.error "subtracting pointers into different objects"
-        | _ -> Value.error "pointer subtraction on non-pointers"
-      end
+      Oval
+        (fun va vb ->
+          match (va, vb) with
+          | Value.Vptr p, Value.Vptr q when p.Value.blk = q.Value.blk ->
+            Value.Vint ((p.Value.off - q.Value.off) / sz)
+          | Value.Vptr _, Value.Vptr _ ->
+            Value.error "subtracting pointers into different objects"
+          | _ -> Value.error "pointer subtraction on non-pointers")
     | Ctypes.Tptr t, _ ->
       let sz = size_of env t in
-      fun va vb ->
-        let p = Eval.expect_ptr_value va in
-        Value.Vptr (Memory.offset p (-Value.int_of vb * sz))
-    | _ -> arith ( - ) ( -. )
+      Oval
+        (fun va vb ->
+          let p = Eval.expect_ptr_value va in
+          Value.Vptr (Memory.offset p (-Value.int_of vb * sz)))
+    | _ -> arith (fun x y -> Value.wrap32 (x - y)) ( - ) ( -. )
   end
-  | Ast.Bmul -> arith ( * ) ( *. )
+  | Ast.Bmul -> arith (fun x y -> Value.wrap32 (x * y)) ( * ) ( *. )
+  | Ast.Bdiv when float_ctx ->
+    Oval
+      (fun va vb ->
+        let d = Value.float_of vb in
+        if d = 0.0 then Value.error "floating division by zero";
+        Value.Vfloat (Value.float_of va /. d))
   | Ast.Bdiv ->
-    if float_ctx then fun va vb -> begin
-      let d = Value.float_of vb in
-      if d = 0.0 then Value.error "floating division by zero";
-      Value.Vfloat (Value.float_of va /. d)
-    end
-    else fun va vb -> begin
-      let d = Value.int_of vb in
-      if d = 0 then Value.error "division by zero";
-      Value.Vint (Value.wrap32 (Value.int_of va / d))
-    end
+    divide "division by zero" (fun x d -> Value.wrap32 (x / d)) ( / )
   | Ast.Bmod ->
-    fun va vb ->
-      let d = Value.int_of vb in
-      if d = 0 then Value.error "modulo by zero";
-      Value.Vint (Value.wrap32 (Value.int_of va mod d))
-  | Ast.Bshl -> int_op (fun x y -> x lsl (y land 31))
-  | Ast.Bshr -> int_op (fun x y -> x asr (y land 31))
-  | Ast.Bband -> int_op ( land )
-  | Ast.Bbor -> int_op ( lor )
-  | Ast.Bbxor -> int_op ( lxor )
+    divide "modulo by zero" (fun x d -> Value.wrap32 (x mod d)) ( mod )
+  | Ast.Bshl ->
+    int_op
+      (fun x y -> Value.wrap32 (x lsl (y land 31)))
+      (fun x y -> x lsl (y land 31))
+  | Ast.Bshr ->
+    int_op
+      (fun x y -> Value.wrap32 (x asr (y land 31)))
+      (fun x y -> x asr (y land 31))
+  | Ast.Bband -> int_op (fun x y -> Value.wrap32 (x land y)) ( land )
+  | Ast.Bbor -> int_op (fun x y -> Value.wrap32 (x lor y)) ( lor )
+  | Ast.Bbxor -> int_op (fun x y -> Value.wrap32 (x lxor y)) ( lxor )
   | Ast.Blt -> compare_with (fun c z -> c < z)
   | Ast.Bgt -> compare_with (fun c z -> c > z)
   | Ast.Ble -> compare_with (fun c z -> c <= z)
   | Ast.Bge -> compare_with (fun c z -> c >= z)
-  | Ast.Beq ->
-    fun va vb -> Value.Vint (if Value.equal_values va vb then 1 else 0)
+  | Ast.Beq -> Obool ((fun (x : int) y -> x = y), Value.equal_values)
   | Ast.Bne ->
-    fun va vb -> Value.Vint (if Value.equal_values va vb then 0 else 1)
+    Obool
+      ((fun (x : int) y -> x <> y), fun va vb -> not (Value.equal_values va vb))
   | Ast.Bland | Ast.Blor -> assert false (* handled by compile_binop *)
 
 and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
-    (rhs : Ast.expr) : ev =
+    (rhs : Ast.expr) : code =
   let tl = ty_of env lhs in
   match (op, tl) with
   | Ast.Aplain, Ctypes.Tstruct si ->
     let dst = compile_lvalue env lhs in
     let src = compile_expr env rhs in
     let size = (Ctypes.find env.reg si).Ctypes.str_size in
-    fun st fr ->
-      let d = dst st fr in
-      let s =
-        match src st fr with
-        | Value.Vptr p -> p
-        | v -> Value.error "struct assignment from %s" (Value.to_string v)
-      in
-      Memory.blit st.mem ~src:s ~dst:d size;
-      Value.Vptr d
+    Val
+      (fun st fr ->
+        let d = dst st fr in
+        let s =
+          match src st fr with
+          | Value.Vptr p -> p
+          | v -> Value.error "struct assignment from %s" (Value.to_string v)
+        in
+        Memory.blit st.mem ~src:s ~dst:d size;
+        Value.Vptr d)
   | Ast.Aplain, _ -> begin
-    let crhs = compile_expr env rhs in
-    match Eval.frame_slot env.tc env.in_mem lhs with
-    | Some slot ->
-      fun st fr ->
-        let v = Eval.coerce tl (crhs st fr) in
-        fr.vals.(slot) <- v;
-        v
-    | None ->
-      let loc = compile_lvalue env lhs in
-      fun st fr ->
-        let l = loc st fr in
-        let v = Eval.coerce tl (crhs st fr) in
-        Memory.store st.mem l v;
-        v
+    let krhs = compile env rhs in
+    match slot_of env lhs with
+    | Some (Sint k) -> Int (assign_int tl k krhs)
+    | Some (Sval k) ->
+      let crhs = to_ev krhs in
+      Val
+        (fun st fr ->
+          let v = Eval.coerce tl (crhs st fr) in
+          fr.vals.(k) <- v;
+          v)
+    | Some (Smem _) | None ->
+      let crhs = to_ev krhs in
+      let base, delta = compile_addr env lhs in
+      Val
+        (fun st fr ->
+          let b = base st fr in
+          let off = delta st fr in
+          let v = Eval.coerce tl (crhs st fr) in
+          Memory.store_at st.mem b off v;
+          v)
   end
   | _, _ -> begin
     let bop = Option.get (Ast.binop_of_assign op) in
-    let crhs = compile_expr env rhs in
-    let app = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
-    match Eval.frame_slot env.tc env.in_mem lhs with
-    | Some slot ->
-      fun st fr ->
-        let old = fr.vals.(slot) in
-        let vr = crhs st fr in
-        let v = Eval.coerce tl (app old vr) in
-        fr.vals.(slot) <- v;
-        v
-    | None ->
-      let loc = compile_lvalue env lhs in
-      fun st fr ->
-        let l = loc st fr in
-        let old = Memory.load st.mem l in
-        let vr = crhs st fr in
-        let v = Eval.coerce tl (app old vr) in
-        Memory.store st.mem l v;
-        v
+    (* the old value is read before [rhs] runs *)
+    let krhs = compile env rhs in
+    let bin = compile_apply_binop env ~ta:tl ~tb:(ty_of env rhs) bop in
+    match (slot_of env lhs, bin) with
+    | Some (Sint k), Oint (fast, slow) ->
+      let char = tl = Ctypes.Tchar in
+      let f = fuse fast slow (Int (fun _ fr -> fr.ivals.(k))) krhs in
+      Int
+        (fun st fr ->
+          let v = wrap char (f st fr) in
+          fr.ivals.(k) <- v;
+          v)
+    | Some (Sint k), _ ->
+      let app = boxed_op bin and crhs = to_ev krhs in
+      Int
+        (fun st fr ->
+          let old = Value.Vint fr.ivals.(k) in
+          let vr = crhs st fr in
+          let v = coerce_int tl (app old vr) in
+          fr.ivals.(k) <- v;
+          v)
+    | Some (Sval k), _ ->
+      let app = boxed_op bin and crhs = to_ev krhs in
+      Val
+        (fun st fr ->
+          let old = fr.vals.(k) in
+          let vr = crhs st fr in
+          let v = Eval.coerce tl (app old vr) in
+          fr.vals.(k) <- v;
+          v)
+    | (Some (Smem _) | None), _ ->
+      let app = boxed_op bin and crhs = to_ev krhs in
+      let base, delta = compile_addr env lhs in
+      Val
+        (fun st fr ->
+          let b = base st fr in
+          let off = delta st fr in
+          let old = Memory.load_at st.mem b off in
+          let vr = crhs st fr in
+          let v = Eval.coerce tl (app old vr) in
+          Memory.store_at st.mem b off v;
+          v)
   end
 
 and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
-    ~(pre : bool) : ev =
+    ~(pre : bool) : code =
   let ty = ty_of env a in
-  let fresh_of : state -> Value.value -> Value.value =
-    match ty with
-    | Ctypes.Tptr t ->
-      let d = delta * size_of env t in
-      fun _ old -> begin
-        match old with
-        | Value.Vptr p -> Value.Vptr (Memory.offset p d)
-        | Value.Vint 0 -> Value.error "arithmetic on a null pointer"
-        | _ -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
-      end
-    | Ctypes.Tdouble ->
-      let d = float_of_int delta in
-      fun _ old -> Value.Vfloat (Value.float_of old +. d)
-    | _ -> fun _ old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
-  in
-  match Eval.frame_slot env.tc env.in_mem a with
-  | Some slot ->
-    fun st fr ->
-      let old = fr.vals.(slot) in
-      let fresh = fresh_of st old in
-      fr.vals.(slot) <- fresh;
-      if pre then fresh else old
-  | None ->
-    let loc = compile_lvalue env a in
-    fun st fr ->
-      let l = loc st fr in
-      let old = Memory.load st.mem l in
-      let fresh = fresh_of st old in
-      Memory.store st.mem l fresh;
-      if pre then fresh else old
+  match slot_of env a with
+  | Some (Sint k) ->
+    let char = ty = Ctypes.Tchar in
+    if pre then
+      Int
+        (fun _ fr ->
+          let v = wrap char (fr.ivals.(k) + delta) in
+          fr.ivals.(k) <- v;
+          v)
+    else
+      Int
+        (fun _ fr ->
+          let old = fr.ivals.(k) in
+          fr.ivals.(k) <- wrap char (old + delta);
+          old)
+  | slot -> begin
+    let fresh_of : Value.value -> Value.value =
+      match ty with
+      | Ctypes.Tptr t ->
+        let d = delta * size_of env t in
+        fun old -> begin
+          match old with
+          | Value.Vptr p -> Value.Vptr (Memory.offset p d)
+          | Value.Vint 0 -> Value.error "arithmetic on a null pointer"
+          | _ -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
+        end
+      | Ctypes.Tdouble ->
+        let d = float_of_int delta in
+        fun old -> Value.Vfloat (Value.float_of old +. d)
+      | _ -> fun old -> Eval.coerce ty (Value.Vint (Value.int_of old + delta))
+    in
+    match slot with
+    | Some (Sval k) ->
+      Val
+        (fun _ fr ->
+          let old = fr.vals.(k) in
+          let fresh = fresh_of old in
+          fr.vals.(k) <- fresh;
+          if pre then fresh else old)
+    | _ ->
+      let base, d = compile_addr env a in
+      Val
+        (fun st fr ->
+          let b = base st fr in
+          let off = d st fr in
+          let old = Memory.load_at st.mem b off in
+          let fresh = fresh_of old in
+          Memory.store_at st.mem b off fresh;
+          if pre then fresh else old)
+  end
 
 (* Calls: the site counter index, argument passing convention and callee
    dispatch are all resolved at compile time. *)
@@ -724,18 +1046,18 @@ and compile_call (env : cenv) (e : Ast.expr) (fn_expr : Ast.expr)
       let argv = List.map (fun f -> f st fr) cargs in
       Builtins.call st.bctx name argv
   | Some (Typecheck.Rfun name) -> begin
+    let argv = compile_args cargs in
     match Hashtbl.find_opt env.fns name with
     | Some target ->
       fun st fr ->
         bump st;
-        let argv = List.map (fun f -> f st fr) cargs in
-        call_fn st target argv
+        call_fn st target (argv st fr)
     | None ->
       (* Prototype without definition: [Eval] still evaluates the
          arguments before failing the lookup. *)
       fun st fr ->
         bump st;
-        let _argv = List.map (fun f -> f st fr) cargs in
+        let _argv = argv st fr in
         Value.error "call to undefined function %s" name
   end
   | _ ->
@@ -749,7 +1071,7 @@ and compile_call (env : cenv) (e : Ast.expr) (fn_expr : Ast.expr)
       | Value.Vfun (Value.Fbuiltin name) -> Builtins.call st.bctx name argv
       | Value.Vfun (Value.Fuser name) -> begin
         match Hashtbl.find_opt fns name with
-        | Some target -> call_fn st target argv
+        | Some target -> call_fn st target (Array.of_list argv)
         | None -> Value.error "call to undefined function %s" name
       end
       | v -> Value.error "calling a non-function value %s" (Value.to_string v)
@@ -807,33 +1129,39 @@ and compile_write_init (env : cenv) (ty : Ctypes.ty) (init : Ast.init) :
 
 let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
   function
-  | Cfg.Iexpr e ->
-    let ce = compile_expr env e in
-    fun st fr -> ignore (ce st fr)
+  | Cfg.Iexpr e -> effect (compile env e)
   | Cfg.Ilocal_init (slot, d) -> begin
-    match d.Ast.d_init with
-    | Some (Ast.Iexpr e) when not env.in_mem.(slot) ->
+    let ty = d.Ast.d_ty in
+    match (d.Ast.d_init, env.slots.(slot)) with
+    | Some (Ast.Iexpr e), Sint k ->
+      let set = assign_int ty k (compile env e) in
+      fun st fr -> ignore (set st fr)
+    | Some (Ast.Iexpr e), Sval k ->
       let ce = compile_expr env e in
-      let ty = d.Ast.d_ty in
-      fun st fr -> fr.vals.(slot) <- Eval.coerce ty (ce st fr)
-    | Some init ->
-      let w = compile_write_init env d.Ast.d_ty init in
-      fun st fr -> w st fr fr.locals.(slot)
-    | None -> fun _ _ -> ()
+      fun st fr -> fr.vals.(k) <- Eval.coerce ty (ce st fr)
+    | Some init, Smem k ->
+      let w = compile_write_init env ty init in
+      fun st fr -> w st fr fr.locals.(k)
+    | Some init, (Sint _ | Sval _) ->
+      (* a brace list puts its slot in memory; [Eval] would write through
+         [no_block] *)
+      let w = compile_write_init env ty init in
+      fun st fr -> w st fr Eval.no_block
+    | None, _ -> fun _ _ -> ()
   end
 
 let compile_term (env : cenv) : Cfg.terminator -> cterm = function
   | Cfg.Tjump next -> Cjump next
-  | Cfg.Tbranch (br, t, f) -> Cbranch (compile_expr env br.Cfg.br_cond, t, f)
+  | Cfg.Tbranch (br, t, f) -> Cbranch (to_bv (compile env br.Cfg.br_cond), t, f)
   | Cfg.Tswitch (scrutinee, cases, default) ->
     (* First match wins under [List.assoc_opt]; preserve that. *)
     let table = Hashtbl.create (List.length cases) in
     List.iter
       (fun (v, t) -> if not (Hashtbl.mem table v) then Hashtbl.add table v t)
       cases;
-    Cswitch (compile_expr env scrutinee, table, default)
+    Cswitch (to_iv (compile env scrutinee), table, default)
   | Cfg.Treturn (Some e) -> Creturn (compile_expr env e)
-  | Cfg.Treturn None -> Creturn (fun _ _ -> Value.Vint 0)
+  | Cfg.Treturn None -> Creturn (fun _ _ -> vzero)
 
 let compile_block (env : cenv) (b : Cfg.block) : cblock =
   let n_instrs = List.length b.Cfg.b_instrs in
@@ -843,19 +1171,56 @@ let compile_block (env : cenv) (b : Cfg.block) : cblock =
     cb_costf = 1.0 +. float_of_int n_instrs;
     cb_term = compile_term env b.Cfg.b_term }
 
-let bind_param (env : cenv) (in_mem : bool array)
-    (li : Typecheck.local_info) (i : int) :
+let bind_param (env : cenv) (slot : slot) (li : Typecheck.local_info) :
     state -> frame -> Value.value -> unit =
-  match li.Typecheck.l_ty with
-  | ty when not in_mem.(i) -> fun _ fr v -> fr.vals.(i) <- Eval.coerce ty v
-  | Ctypes.Tstruct si ->
+  match (slot, li.Typecheck.l_ty) with
+  | Sint k, ty -> fun _ fr v -> fr.ivals.(k) <- coerce_int ty v
+  | Sval k, ty -> fun _ fr v -> fr.vals.(k) <- Eval.coerce ty v
+  | Smem k, Ctypes.Tstruct si ->
     let size = (Ctypes.find env.reg si).Ctypes.str_size in
     fun st fr v -> begin
       match v with
-      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:fr.locals.(i) size
+      | Value.Vptr src -> Memory.blit st.mem ~src ~dst:fr.locals.(k) size
       | v -> Value.error "struct argument is %s" (Value.to_string v)
     end
-  | ty -> fun st fr v -> Memory.store st.mem fr.locals.(i) (Eval.coerce ty v)
+  | Smem k, ty ->
+    fun st fr v -> Memory.store st.mem fr.locals.(k) (Eval.coerce ty v)
+
+(* One function's record, before its body is compiled. *)
+let compile_fn_record (env : cenv) (tc : Typecheck.t) (i : int) (fn : Cfg.fn)
+    : cfn =
+  let locals = fn.Cfg.fn_info.Typecheck.fi_locals in
+  let in_mem = Eval.needs_block tc fn in
+  let n_ints = ref 0 and n_vals = ref 0 and mem = ref [] in
+  let slots =
+    Array.mapi
+      (fun i (li : Typecheck.local_info) ->
+        if in_mem.(i) then begin
+          mem := i :: !mem;
+          Smem (List.length !mem - 1)
+        end
+        else
+          match li.Typecheck.l_ty with
+          | Ctypes.Tint | Ctypes.Tchar ->
+            incr n_ints;
+            Sint (!n_ints - 1)
+          | _ ->
+            incr n_vals;
+            Sval (!n_vals - 1))
+      locals
+  in
+  let mem = Array.of_list (List.rev !mem) in
+  let ret = fn.Cfg.fn_def.Ast.f_ret in
+  { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
+    c_blocks = [||]; c_slots = slots; c_n_ints = !n_ints; c_n_vals = !n_vals;
+    c_mem_sizes =
+      Array.map (fun s -> size_of env locals.(s).Typecheck.l_ty) mem;
+    c_mem_tags =
+      Array.map
+        (fun s -> fn.Cfg.fn_name ^ "." ^ locals.(s).Typecheck.l_name)
+        mem;
+    c_bind_params = Array.map2 (bind_param env) slots locals;
+    c_coerce_ret = (fun v -> Eval.coerce ret v) }
 
 let compile (src : Cfg.program) : prog =
   let tc = src.Cfg.prog_tc in
@@ -868,7 +1233,7 @@ let compile (src : Cfg.program) : prog =
     { tc; reg = tc.Typecheck.tunit.Ast.structs; site_of_expr;
       fns = Hashtbl.create 32; global_index = Hashtbl.create 32;
       string_index = Hashtbl.create 64; n_strings = 0; fn_info = None;
-      in_mem = [||] }
+      slots = [||] }
   in
   List.iteri
     (fun i name -> Hashtbl.replace env.global_index name i)
@@ -878,32 +1243,7 @@ let compile (src : Cfg.program) : prog =
   let fn_list =
     List.mapi
       (fun i (fn : Cfg.fn) ->
-        let fi = fn.Cfg.fn_info in
-        let in_mem = Eval.needs_block tc fn in
-        let cf =
-          { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
-            c_blocks = [||];
-            c_in_mem = in_mem;
-            c_mem_slots =
-              Array.of_list
-                (List.filter (fun i -> in_mem.(i))
-                   (List.init (Array.length in_mem) Fun.id));
-            c_local_sizes =
-              Array.map
-                (fun (li : Typecheck.local_info) ->
-                  size_of env li.Typecheck.l_ty)
-                fi.Typecheck.fi_locals;
-            c_local_tags =
-              Array.map
-                (fun (li : Typecheck.local_info) ->
-                  fn.Cfg.fn_name ^ "." ^ li.Typecheck.l_name)
-                fi.Typecheck.fi_locals;
-            c_bind_params =
-              Array.mapi
-                (fun i li -> bind_param env in_mem li i)
-                fi.Typecheck.fi_locals;
-            c_coerce_ret = Eval.coerce fn.Cfg.fn_def.Ast.f_ret }
-        in
+        let cf = compile_fn_record env tc i fn in
         Hashtbl.replace env.fns fn.Cfg.fn_name cf;
         cf)
       src.Cfg.prog_fns
@@ -912,11 +1252,11 @@ let compile (src : Cfg.program) : prog =
   List.iter2
     (fun (fn : Cfg.fn) cf ->
       env.fn_info <- Some fn.Cfg.fn_info;
-      env.in_mem <- cf.c_in_mem;
+      env.slots <- cf.c_slots;
       cf.c_blocks <- Array.map (compile_block env) fn.Cfg.fn_blocks)
     src.Cfg.prog_fns fn_list;
   env.fn_info <- None;
-  env.in_mem <- [||];
+  env.slots <- [||];
   (* Global initializers, compiled in declaration order. *)
   let global_inits =
     List.filter_map
@@ -974,13 +1314,13 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     { mem; bctx = Builtins.create_ctx ~input mem;
       globals =
         Array.make (Array.length p.p_global_sizes) { Value.blk = -1; off = 0 };
-      string_cache = Array.make (max p.p_n_strings 1) None;
+      string_cache = Array.make (max p.p_n_strings 1) vzero;
       strings = Hashtbl.create 32;
       fcounters =
         Array.map
           (fun cf -> Profile.fn_counters profile cf.c_name)
           p.p_fn_list;
-      profile; fuel; deadline; clock_tick }
+      profile; fuel; depth = 0; deadline; clock_tick }
   in
   let finish code =
     { Eval.exit_code = code; stdout_text = Builtins.output st.bctx;
@@ -992,7 +1332,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     try
       (* Globals: allocate all storage in declaration order, then run the
          initializers — the same two passes as [Eval.init_globals]. *)
-      let dummy = { locals = [||]; vals = [||] } in
+      let dummy = { ivals = [||]; vals = [||]; locals = [||] } in
       Array.iteri
         (fun i size ->
           st.globals.(i) <-
@@ -1003,7 +1343,7 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
         p.p_global_inits;
       let args =
         match p.p_main_arity with
-        | 0 -> []
+        | 0 -> [||]
         | 2 ->
           let all = "prog" :: argv in
           let argc = List.length all in
@@ -1013,8 +1353,8 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
               let sp = intern_rt st s in
               Memory.store mem (Memory.offset arr i) (Value.Vptr sp))
             all;
-          Memory.store mem (Memory.offset arr argc) (Value.Vint 0);
-          [ Value.Vint argc; Value.Vptr arr ]
+          Memory.store mem (Memory.offset arr argc) vzero;
+          [| Value.Vint argc; Value.Vptr arr |]
         | _ -> Value.error "main must take () or (int, char **)"
       in
       let result = call_fn st main_cf args in

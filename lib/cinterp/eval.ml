@@ -36,6 +36,17 @@ exception Out_of_wall_clock
    never triggers. *)
 let clock_check_interval = 50_000
 
+(* The deepest C call either back end makes: one more raises
+   [call_too_deep]'s [Runtime_error]. Each C call nests OCaml frames, so
+   unbounded recursion would otherwise run until the OCaml stack
+   overflows, gigabytes later. The suite's deepest call is far below
+   this (see [test/test_compile.ml]); at this depth the tree walker's
+   stack is still well under the default OCaml stack limit. *)
+let max_call_depth = 100_000
+
+let call_too_deep () =
+  Value.error "call depth limit exceeded (%d nested calls)" max_call_depth
+
 type genv = {
   prog : Cfg.program;
   tc : Typecheck.t;
@@ -49,6 +60,7 @@ type genv = {
   mutable fuel : int;
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
+  mutable depth : int; (* active C calls *)
   slot_rules : (string, bool array) Hashtbl.t; (* [needs_block], per fn *)
 }
 
@@ -140,12 +152,18 @@ let intern_string (g : genv) (s : string) : Value.ptr =
     Hashtbl.replace g.strings s p;
     p
 
-(* Coerce a value for storage into an object of type [ty]. *)
+(* Coerce a value for storage into an object of type [ty]. An int already
+   in range comes back as it is: a fresh box of the same int would be
+   indistinguishable. *)
 let coerce (ty : Ctypes.ty) (v : Value.value) : Value.value =
   match (ty, v) with
-  | Ctypes.Tint, Value.Vint n -> Value.Vint (Value.wrap32 n)
+  | Ctypes.Tint, Value.Vint n ->
+    let m = Value.wrap32 n in
+    if m = n then v else Value.Vint m
   | Ctypes.Tint, Value.Vfloat f -> Value.Vint (Value.wrap32 (int_of_float f))
-  | Ctypes.Tchar, Value.Vint n -> Value.Vint (Value.wrap8 n)
+  | Ctypes.Tchar, Value.Vint n ->
+    let m = Value.wrap8 n in
+    if m = n then v else Value.Vint m
   | Ctypes.Tchar, Value.Vfloat f -> Value.Vint (Value.wrap8 (int_of_float f))
   | Ctypes.Tdouble, (Value.Vint _ | Value.Vfloat _) ->
     Value.Vfloat (Value.float_of v)
@@ -533,6 +551,7 @@ and eval_call g fr (e : Ast.expr) (fn_expr : Ast.expr) (args : Ast.expr list)
 
 and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     =
+  if g.depth >= max_call_depth then call_too_deep ();
   let fi = fn.Cfg.fn_info in
   let in_mem =
     match Hashtbl.find_opt g.slot_rules fn.Cfg.fn_name with
@@ -570,7 +589,9 @@ and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
       | ty -> Memory.store g.mem locals.(i) (coerce ty v))
     args;
   let counters = Profile.fn_counters g.profile fn.Cfg.fn_name in
+  g.depth <- g.depth + 1;
   let result = exec_blocks g fr counters fn.Cfg.fn_entry in
+  g.depth <- g.depth - 1;
   Array.iteri (fun i p -> if in_mem.(i) then Memory.kill g.mem p) locals;
   coerce fn.Cfg.fn_def.Ast.f_ret result
 
@@ -730,7 +751,7 @@ let run ?(fuel = default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     { prog; tc; reg = tc.Typecheck.tunit.Ast.structs; mem;
       bctx = Builtins.create_ctx ~input mem; globals = Hashtbl.create 32;
       strings = Hashtbl.create 32; site_of_expr;
-      profile = Profile.create prog; fuel; deadline; clock_tick;
+      profile = Profile.create prog; fuel; deadline; clock_tick; depth = 0;
       slot_rules = Hashtbl.create 16 }
   in
   let finish code =

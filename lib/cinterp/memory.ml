@@ -3,7 +3,12 @@
    Every object (global, local, malloc'd region, string literal) lives in
    its own block of cells, so out-of-bounds accesses and use-after-free
    are detected rather than silently corrupting unrelated objects — an
-   interpreter-grade substitute for the paper's native execution. *)
+   interpreter-grade substitute for the paper's native execution.
+
+   [load_at] and [store_at] take a pointer and a cell delta: they make
+   the same checks, in the same order and with the same messages, as
+   [load]/[store] of [offset p delta], but build no pointer record. The
+   compiled back end uses them for [a[i]] and [p->f]. *)
 
 type block = {
   mutable cells : Value.value array;
@@ -38,19 +43,25 @@ let lookup (m : t) (p : Value.ptr) : block =
     Value.error "use of freed or dead object (%s)" b.tag;
   b
 
-let load (m : t) (p : Value.ptr) : Value.value =
+let load_at (m : t) (p : Value.ptr) (delta : int) : Value.value =
   let b = lookup m p in
-  if p.Value.off < 0 || p.Value.off >= Array.length b.cells then
-    Value.error "load out of bounds (%s, offset %d of %d)" b.tag p.Value.off
+  let off = p.Value.off + delta in
+  if off < 0 || off >= Array.length b.cells then
+    Value.error "load out of bounds (%s, offset %d of %d)" b.tag off
       (Array.length b.cells);
-  b.cells.(p.Value.off)
+  Array.unsafe_get b.cells off
 
-let store (m : t) (p : Value.ptr) (v : Value.value) : unit =
+let store_at (m : t) (p : Value.ptr) (delta : int) (v : Value.value) : unit =
   let b = lookup m p in
-  if p.Value.off < 0 || p.Value.off >= Array.length b.cells then
-    Value.error "store out of bounds (%s, offset %d of %d)" b.tag p.Value.off
+  let off = p.Value.off + delta in
+  if off < 0 || off >= Array.length b.cells then
+    Value.error "store out of bounds (%s, offset %d of %d)" b.tag off
       (Array.length b.cells);
-  b.cells.(p.Value.off) <- v
+  Array.unsafe_set b.cells off v
+
+let load (m : t) (p : Value.ptr) : Value.value = load_at m p 0
+
+let store (m : t) (p : Value.ptr) (v : Value.value) : unit = store_at m p 0 v
 
 (* Kill a block (locals going out of scope, [free]): later access is an
    error. The cells go at once; [lookup] checks [live] before any access
