@@ -119,7 +119,6 @@ type cterm =
 type cblock = {
   cb_instrs : (state -> frame -> unit) array;
   cb_cost : int;            (* 1 + number of instructions (fuel units) *)
-  cb_costf : float;         (* same, as the work-counter increment *)
   cb_term : cterm;
 }
 
@@ -291,7 +290,6 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
   let bc = counters.Profile.block_counts in
   let bt = counters.Profile.branch_taken in
   let bnt = counters.Profile.branch_not_taken in
-  let profile = st.profile in
   let rec run bid : Value.value =
     if st.fuel <= 0 then raise Eval.Out_of_fuel;
     st.clock_tick <- st.clock_tick - 1;
@@ -303,7 +301,6 @@ let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
     let blk = blocks.(bid) in
     bc.(bid) <- bc.(bid) +. 1.0;
     st.fuel <- st.fuel - blk.cb_cost;
-    profile.Profile.work <- profile.Profile.work +. blk.cb_costf;
     let instrs = blk.cb_instrs in
     for i = 0 to Array.length instrs - 1 do
       instrs.(i) st fr
@@ -1168,7 +1165,6 @@ let compile_block (env : cenv) (b : Cfg.block) : cblock =
   { cb_instrs =
       Array.of_list (List.map (compile_instr env) b.Cfg.b_instrs);
     cb_cost = 1 + n_instrs;
-    cb_costf = 1.0 +. float_of_int n_instrs;
     cb_term = compile_term env b.Cfg.b_term }
 
 let bind_param (env : cenv) (slot : slot) (li : Typecheck.local_info) :
@@ -1322,7 +1318,10 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
           p.p_fn_list;
       profile; fuel; depth = 0; deadline; clock_tick }
   in
+  (* Work and fuel both move by [cb_cost] per block, so the work done is
+     the fuel spent: exact, as a float, below 2^53 units. *)
   let finish code =
+    st.profile.Profile.work <- float_of_int (fuel - st.fuel);
     { Eval.exit_code = code; stdout_text = Builtins.output st.bctx;
       profile = st.profile; work = st.profile.Profile.work }
   in
