@@ -87,6 +87,7 @@ type frame = {
   ivals : int array;
   vals : Value.value array;
   locals : Value.ptr array; (* the [Smem] blocks, in slot order *)
+  fc : Profile.fn_counters; (* the running function's counters *)
 }
 
 type ev = state -> frame -> Value.value   (* compiled expression *)
@@ -110,23 +111,11 @@ type op =
 (* ------------------------------------------------------------------ *)
 (* Compiled program representation. *)
 
-type cterm =
-  | Cjump of int
-  | Cbranch of bv * int * int
-  | Cswitch of iv * (int, int) Hashtbl.t * int
-  | Creturn of ev
-
-type cblock = {
-  cb_instrs : (state -> frame -> unit) array;
-  cb_cost : int;            (* 1 + number of instructions (fuel units) *)
-  cb_term : cterm;
-}
-
 type cfn = {
   c_name : string;
   c_index : int;                        (* position in [prog_fns] *)
   c_entry : int;
-  mutable c_blocks : cblock array;      (* patched in phase 2 *)
+  c_code : ev array;                    (* per block, filled in phase 2 *)
   c_slots : slot array;                 (* the slot rule, placed *)
   c_n_ints : int;
   c_n_vals : int;
@@ -283,65 +272,22 @@ let alloc_locals (st : state) (cf : cfn) : Value.ptr array =
     done;
     locals
 
-(* The profiling hot loop: closure application plus counter bumps. *)
-let rec exec_blocks (st : state) (fr : frame) (cf : cfn)
-    (counters : Profile.fn_counters) (start : int) : Value.value =
-  let blocks = cf.c_blocks in
-  let bc = counters.Profile.block_counts in
-  let bt = counters.Profile.branch_taken in
-  let bnt = counters.Profile.branch_not_taken in
-  let rec run bid : Value.value =
-    if st.fuel <= 0 then raise Eval.Out_of_fuel;
-    st.clock_tick <- st.clock_tick - 1;
-    if st.clock_tick <= 0 then begin
-      st.clock_tick <- Eval.clock_check_interval;
-      if Unix.gettimeofday () >= st.deadline then
-        raise Eval.Out_of_wall_clock
-    end;
-    let blk = blocks.(bid) in
-    bc.(bid) <- bc.(bid) +. 1.0;
-    st.fuel <- st.fuel - blk.cb_cost;
-    let instrs = blk.cb_instrs in
-    for i = 0 to Array.length instrs - 1 do
-      instrs.(i) st fr
-    done;
-    match blk.cb_term with
-    | Cjump next -> run next
-    | Cbranch (cond, t, f) ->
-      if cond st fr then begin
-        bt.(bid) <- bt.(bid) +. 1.0;
-        run t
-      end
-      else begin
-        bnt.(bid) <- bnt.(bid) +. 1.0;
-        run f
-      end
-    | Cswitch (scrutinee, table, default) ->
-      let v = scrutinee st fr in
-      run
-        (match Hashtbl.find_opt table v with
-        | Some t -> t
-        | None -> default)
-    | Creturn e -> e st fr
-  in
-  run start
-
 (* Mirror of [Eval.exec_fn]: check the call depth, allocate the blocks
    the slot rule asks for (same order, same tags), bind parameters, run
    the blocks, kill those blocks, coerce the result. *)
-and call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
+let call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
   if st.depth >= Eval.max_call_depth then Eval.call_too_deep ();
   let locals = alloc_locals st cf in
   let fr =
-    { ivals = make_ints cf.c_n_ints; vals = make_vals cf.c_n_vals; locals }
+    { ivals = make_ints cf.c_n_ints; vals = make_vals cf.c_n_vals; locals;
+      fc = st.fcounters.(cf.c_index) }
   in
   let bind = cf.c_bind_params in
   for i = 0 to Array.length args - 1 do
     bind.(i) st fr args.(i)
   done;
   st.depth <- st.depth + 1;
-  let counters = st.fcounters.(cf.c_index) in
-  let result = exec_blocks st fr cf counters cf.c_entry in
+  let result = cf.c_code.(cf.c_entry) st fr in
   st.depth <- st.depth - 1;
   for k = 0 to Array.length locals - 1 do
     Memory.kill st.mem locals.(k)
@@ -1147,25 +1093,94 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
     | None, _ -> fun _ _ -> ()
   end
 
-let compile_term (env : cenv) : Cfg.terminator -> cterm = function
-  | Cfg.Tjump next -> Cjump next
-  | Cfg.Tbranch (br, t, f) -> Cbranch (to_bv (compile env br.Cfg.br_cond), t, f)
+(* Widest case span a switch turns into a jump array. *)
+let dense_switch_span = 256
+
+(* A terminator jumps by tail-calling its successor's code. *)
+let compile_term (env : cenv) (codes : ev array) (bid : int) :
+    Cfg.terminator -> ev = function
+  | Cfg.Tjump next -> fun st fr -> codes.(next) st fr
+  | Cfg.Tbranch (br, t, f) ->
+    let cond = to_bv (compile env br.Cfg.br_cond) in
+    fun st fr ->
+      if cond st fr then begin
+        let bt = fr.fc.Profile.branch_taken in
+        bt.(bid) <- bt.(bid) +. 1.0;
+        codes.(t) st fr
+      end
+      else begin
+        let bnt = fr.fc.Profile.branch_not_taken in
+        bnt.(bid) <- bnt.(bid) +. 1.0;
+        codes.(f) st fr
+      end
   | Cfg.Tswitch (scrutinee, cases, default) ->
     (* First match wins under [List.assoc_opt]; preserve that. *)
-    let table = Hashtbl.create (List.length cases) in
-    List.iter
-      (fun (v, t) -> if not (Hashtbl.mem table v) then Hashtbl.add table v t)
-      cases;
-    Cswitch (to_iv (compile env scrutinee), table, default)
-  | Cfg.Treturn (Some e) -> Creturn (compile_expr env e)
-  | Cfg.Treturn None -> Creturn (fun _ _ -> vzero)
+    let v = to_iv (compile env scrutinee) in
+    let lo = List.fold_left (fun m (c, _) -> min m c) max_int cases in
+    let hi = List.fold_left (fun m (c, _) -> max m c) min_int cases in
+    let target : int -> int =
+      if cases = [] then fun _ -> default
+      else if hi - lo < dense_switch_span then begin
+        let table = Array.make (hi - lo + 1) default in
+        List.iter (fun (c, t) -> table.(c - lo) <- t) (List.rev cases);
+        fun v -> if v >= lo && v <= hi then table.(v - lo) else default
+      end
+      else begin
+        let table = Hashtbl.create (List.length cases) in
+        List.iter
+          (fun (c, t) -> if not (Hashtbl.mem table c) then Hashtbl.add table c t)
+          cases;
+        fun v -> Option.value (Hashtbl.find_opt table v) ~default
+      end
+    in
+    fun st fr -> codes.(target (v st fr)) st fr
+  | Cfg.Treturn (Some e) -> compile_expr env e
+  | Cfg.Treturn None -> fun _ _ -> vzero
 
-let compile_block (env : cenv) (b : Cfg.block) : cblock =
-  let n_instrs = List.length b.Cfg.b_instrs in
-  { cb_instrs =
-      Array.of_list (List.map (compile_instr env) b.Cfg.b_instrs);
-    cb_cost = 1 + n_instrs;
-    cb_term = compile_term env b.Cfg.b_term }
+let check_clock (st : state) : unit =
+  st.clock_tick <- Eval.clock_check_interval;
+  if Unix.gettimeofday () >= st.deadline then raise Eval.Out_of_wall_clock
+
+(* Entering a block: the budget checks, then its count and its fuel, in
+   [Eval.exec_blocks]'s order. *)
+let[@inline] enter (st : state) (fr : frame) (bid : int) (cost : int) : unit =
+  if st.fuel <= 0 then raise Eval.Out_of_fuel;
+  st.clock_tick <- st.clock_tick - 1;
+  if st.clock_tick <= 0 then check_clock st;
+  let bc = fr.fc.Profile.block_counts in
+  bc.(bid) <- bc.(bid) +. 1.0;
+  st.fuel <- st.fuel - cost
+
+(* A block's code: it counts itself, runs its instructions and ends in
+   its terminator, so the profiling hot loop is a chain of tail calls. *)
+let compile_block (env : cenv) (codes : ev array) (bid : int) (b : Cfg.block)
+    : ev =
+  let instrs = Array.of_list (List.map (compile_instr env) b.Cfg.b_instrs) in
+  let cost = 1 + Array.length instrs in
+  let term = compile_term env codes bid b.Cfg.b_term in
+  match instrs with
+  | [||] ->
+    fun st fr ->
+      enter st fr bid cost;
+      term st fr
+  | [| i1 |] ->
+    fun st fr ->
+      enter st fr bid cost;
+      i1 st fr;
+      term st fr
+  | [| i1; i2 |] ->
+    fun st fr ->
+      enter st fr bid cost;
+      i1 st fr;
+      i2 st fr;
+      term st fr
+  | _ ->
+    fun st fr ->
+      enter st fr bid cost;
+      for i = 0 to Array.length instrs - 1 do
+        instrs.(i) st fr
+      done;
+      term st fr
 
 let bind_param (env : cenv) (slot : slot) (li : Typecheck.local_info) :
     state -> frame -> Value.value -> unit =
@@ -1208,7 +1223,8 @@ let compile_fn_record (env : cenv) (tc : Typecheck.t) (i : int) (fn : Cfg.fn)
   let mem = Array.of_list (List.rev !mem) in
   let ret = fn.Cfg.fn_def.Ast.f_ret in
   { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
-    c_blocks = [||]; c_slots = slots; c_n_ints = !n_ints; c_n_vals = !n_vals;
+    c_code = Array.make (Array.length fn.Cfg.fn_blocks) (fun _ _ -> vzero);
+    c_slots = slots; c_n_ints = !n_ints; c_n_vals = !n_vals;
     c_mem_sizes =
       Array.map (fun s -> size_of env locals.(s).Typecheck.l_ty) mem;
     c_mem_tags =
@@ -1249,7 +1265,9 @@ let compile (src : Cfg.program) : prog =
     (fun (fn : Cfg.fn) cf ->
       env.fn_info <- Some fn.Cfg.fn_info;
       env.slots <- cf.c_slots;
-      cf.c_blocks <- Array.map (compile_block env) fn.Cfg.fn_blocks)
+      Array.iteri
+        (fun bid b -> cf.c_code.(bid) <- compile_block env cf.c_code bid b)
+        fn.Cfg.fn_blocks)
     src.Cfg.prog_fns fn_list;
   env.fn_info <- None;
   env.slots <- [||];
@@ -1331,7 +1349,12 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     try
       (* Globals: allocate all storage in declaration order, then run the
          initializers — the same two passes as [Eval.init_globals]. *)
-      let dummy = { ivals = [||]; vals = [||]; locals = [||] } in
+      let dummy =
+        { ivals = [||]; vals = [||]; locals = [||];
+          fc =
+            { Profile.block_counts = [||]; branch_taken = [||];
+              branch_not_taken = [||] } }
+      in
       Array.iteri
         (fun i size ->
           st.globals.(i) <-
