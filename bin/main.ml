@@ -30,9 +30,44 @@ let read_file path =
   close_in ic;
   s
 
+(* The file commands' one fault handler. A front-end error in FILE, or
+   a run-time error or budget stop while interpreting it, prints
+   "FILE:LINE:COL: message" on stderr ("FILE: message" for a run-time
+   fault, which has no source position), is recorded under [record]'s
+   fault stages, and exits with [record]'s degraded code. Any other
+   exception is a bug and escapes. *)
+let file_fault path (e : exn) : 'a =
+  let bt = Printexc.get_raw_backtrace () in
+  let stage, pos, msg =
+    match e with
+    | Cfront.Lexer.Error (m, p)
+    | Cfront.Parser.Error (m, p)
+    | Cfront.Typecheck.Error (m, p)
+    | Cfg_ir.Build.Error (m, p) ->
+      ( Driver.Fault.Compile,
+        Printf.sprintf "%d:%d:" p.Cfront.Token.line p.Cfront.Token.col,
+        m )
+    | Cfront.Preproc.Error (m, line) ->
+      (Driver.Fault.Compile, Printf.sprintf "%d:" line, m)
+    | Cfront.Ctypes.Type_error m -> (Driver.Fault.Compile, "", m)
+    | Cinterp.Value.Runtime_error m -> (Driver.Fault.Profile, "", m)
+    | Cinterp.Eval.Budget_exhausted (stop, o) ->
+      ( Driver.Fault.Profile,
+        "",
+        Printf.sprintf "%s budget exhausted after %.0f work units"
+          (Cinterp.Eval.budget_stop_to_string stop)
+          o.Cinterp.Eval.work )
+    | e -> Printexc.raise_with_backtrace e bt
+  in
+  ignore
+    (Driver.Fault.absorb ~stage ~subject:path ~recovery:"command abandoned" e
+       bt);
+  Printf.eprintf "%s:%s %s\n" path pos msg;
+  exit (Driver.Fault.exit_code ())
+
 let load path =
   let name = Filename.remove_extension (Filename.basename path) in
-  Pipeline.compile ~name (read_file path)
+  try Pipeline.compile ~name (read_file path) with e -> file_fault path e
 
 (* ---- common arguments ---- *)
 
@@ -269,7 +304,10 @@ let cmd_run =
     let input =
       match stdin_file with None -> "" | Some f -> read_file f
     in
-    let o = Pipeline.run_once c { Pipeline.argv = args; input } in
+    let o =
+      try Pipeline.run_once c { Pipeline.argv = args; input }
+      with e -> file_fault path e
+    in
     print_string o.Cinterp.Eval.stdout_text;
     Printf.eprintf "[exit %d, %.0f work units]\n" o.Cinterp.Eval.exit_code
       o.Cinterp.Eval.work;

@@ -286,6 +286,213 @@ int fib(int n) {
 int main(void) { printf("%d\n", fib(15)); return fib(10); }|}
 
 (* ------------------------------------------------------------------ *)
+(* The unboxed paths: int and char slots held as OCaml ints, operators
+   on sure ints, fused [a[i]] loads and stores, the dense switch table
+   and the derived work count. Each pin compares every observable with
+   the tree walker and fixes the expected output. *)
+
+let pin name ~out src =
+  let c = compile src in
+  check_identical name c;
+  let o = run_with Pipeline.Compiled c in
+  Alcotest.(check string) (name ^ ": output") out o.Eval.stdout_text
+
+let test_unboxed_arithmetic () =
+  pin "char slot wraparound" ~out:"-128 -128 127 44 56\n"
+    {|int main(void) {
+  char c = 127; char d; char e = -128; char f = 100; char g = 0;
+  c++;
+  d = c;
+  e--;
+  f += 200;
+  g -= 200;
+  printf("%d %d %d %d %d\n", c, d, e, f, g);
+  return 0;
+}|};
+  pin "int overflow" ~out:"-2147483648 2147483647 -2 -2 -2147483648\n"
+    {|int main(void) {
+  int big = 2147483647; int small = -2147483647 - 1; int m; int z;
+  big++;
+  small--;
+  m = 2147483647 * 2;
+  z = small * 2;
+  printf("%d %d %d %d %d\n", big, small, m, z, -(-2147483647 - 1));
+  return 0;
+}|};
+  pin "double into an int slot" ~out:"2 4 -1 7\n"
+    {|int main(void) {
+  int i = 1; int j = 3; int k = 0; char c = 2; double h = 0.5;
+  i += 1.5;
+  j = j + 1.9;
+  k -= 1.5;
+  c *= 3.9;
+  printf("%d %d %d %d\n", i, j, k, c + (int) h);
+  return 0;
+}|};
+  pin "shift counts of 32 and more" ~out:"2 2 1 -1 8 256\n"
+    {|int main(void) {
+  int one = 1; int n = 33; int a[2]; int neg = -8;
+  a[0] = 40;
+  printf("%d %d %d %d %d %d\n", one << n, 1 << 33, 256 >> a[0],
+         neg >> 35, one << 35, one << a[0]);
+  return 0;
+}|};
+  check_same_error "int slot divided by zero" ~expect:"division by zero"
+    "int main(void) { int x = 7; int z = 0; return x / z; }";
+  check_same_error "int slot modulo zero" ~expect:"modulo by zero"
+    "int main(void) { int x = 7; int z = 0; x %= z; return x; }";
+  check_same_error "array cell divided by a zero literal"
+    ~expect:"division by zero"
+    "int main(void) { int a[1]; a[0] = 5; return a[0] / 0; }";
+  check_same_error "zero check before the left operand converts"
+    ~expect:"modulo by zero"
+    {|int main(void) {
+  int a[1]; int *ps[1]; int x = 1; int z = 0;
+  ps[0] = &x;
+  memcpy(a, ps, sizeof(int *));
+  return a[0] % z;
+}|}
+
+let test_memcpy_into_int_cells () =
+  let prelude =
+    {|int x; int a[2]; int *ps[1]; double ds[1];
+int setup(void) {
+  ps[0] = &x; ds[0] = 2.5;
+  memcpy(a, ps, sizeof(int *));
+  memcpy(a + 1, ds, sizeof(double));
+  return 0;
+}
+|}
+  in
+  pin "pointer in an int cell, compared" ~out:"0 1 1 0 1 0 3 0\n"
+    (prelude
+    ^ {|int main(void) {
+  int zero = 0; int two = 2;
+  setup();
+  printf("%d %d %d %d %d %d %d %d\n", a[0] == zero, a[0] != 0, zero < a[0],
+         a[0] < zero, a[0] == a[0], a[1] == two, a[1] + 1, a[1] < two);
+  return 0;
+}|});
+  check_same_error "pointer in an int cell, ordered against an int"
+    ~expect:"pointer used as integer"
+    (prelude ^ "int main(void) { int five = 5; setup(); return a[0] < five; }");
+  check_same_error "pointer in an int cell, added"
+    ~expect:"pointer used as integer"
+    (prelude ^ "int main(void) { int one = 1; setup(); return one + a[0]; }");
+  check_same_error "pointer in an int cell, stored into an int slot"
+    ~expect:"storing a pointer into an integer object"
+    (prelude ^ "int main(void) { int i; setup(); i = a[0]; return i; }")
+
+let test_fused_access () =
+  pin "reversed index" ~out:"30 30 7 9\n"
+    {|struct pt { int x; int y; };
+struct box { struct pt in; int n; };
+int main(void) {
+  int a[4]; int i = 2; struct box b; struct box *pb = &b;
+  a[3] = 30; a[1] = 7;
+  b.in.y = 9;
+  printf("%d %d %d %d\n", 3[a], (i + 1)[a], 1[a], pb->in.y);
+  return 0;
+}|};
+  check_same_error "fused load below the block"
+    ~expect:"load out of bounds (main.a, offset -1 of 3)"
+    "int main(void) { int a[3]; int i = -1; return a[i]; }";
+  check_same_error "fused compound store past the block"
+    ~expect:"load out of bounds (main.a, offset 3 of 3)"
+    "int main(void) { int a[3]; int i = 3; a[i] += 1; return 0; }";
+  check_same_error "fused store through a reversed index"
+    ~expect:"store out of bounds (global g, offset 4 of 4)"
+    "int g[4];\nint main(void) { int i = 4; i[g] = 1; return 0; }";
+  check_same_error "fused field load past a malloc'd cell"
+    ~expect:"load out of bounds (malloc, offset 1 of 1)"
+    {|struct pt { int x; int y; };
+int main(void) {
+  struct pt *p = (struct pt *) malloc(1);
+  return p->y;
+}|}
+
+let test_short_circuit_conditions () =
+  pin "side effects in conditions" ~out:"1 0 4 1 | 6 4 1\n0 1\n"
+    {|int calls;
+int t(int v) { calls++; return v; }
+int main(void) {
+  int i = 0; int j = 0; int k = 0; int r;
+  if (i++ > 0 && j++ > 0) k = 10;
+  if (i > 0 || j++ > 0) k++;
+  while (t(0) || t(1) && k++ < 3) { }
+  r = !i || (j && t(5));
+  printf("%d %d %d %d | %d %d %d\n", i, j, k + 0 * r, r == 0, calls, k,
+         i ? 1 : t(9));
+  printf("%d %d\n", (i = 0) && t(1), !(j = 0));
+  return 0;
+}|}
+
+let test_switch_tables () =
+  let src =
+    {|int classify(int v) {
+  int r = 0;
+  switch (v) {
+    case -3: r = 1; break;
+    case -1: r = 2;
+    case 0: r = r + 3; break;
+    case 2: r = 4; break;
+    case 2: r = 5; break;
+    default: r = 9;
+  }
+  return r;
+}
+int sparse(int v) {
+  switch (v) {
+    case -100000: return 1;
+    case 7: return 2;
+    case 100000: return 3;
+    case 7: return 4;
+  }
+  return 0;
+}
+int only_default(int v) { switch (v) { default: v = v * 2; } return v; }
+int main(void) {
+  int i;
+  for (i = -5; i <= 4; i++) printf("%d", classify(i));
+  printf(" %d %d %d %d %d", sparse(-100000), sparse(7), sparse(100000),
+         sparse(8), only_default(21));
+  printf("\n");
+  return 0;
+}|}
+  in
+  pin "negative, duplicate, sparse and default-only switches"
+    ~out:"9919539499 1 2 3 0 42\n" src
+
+let test_fuel_mid_block () =
+  (* The loop body is one block of several instructions, so most fuel
+     budgets run out with fuel left over inside it: the partial work
+     (the fuel spent) must still match the tree walker bit for bit. *)
+  let src =
+    {|int main(void) {
+  int i; int s = 0; int t = 1;
+  for (i = 0; i < 1000; i++) { s = s + i; t = t * 3; s = s ^ t; printf("."); }
+  return s;
+}|}
+  in
+  for fuel = 1 to 40 do
+    check_same_error (Printf.sprintf "fuel %d" fuel) ~fuel src
+  done
+
+(* The deepest call in the suite is 27 frames and in 400 Genprog
+   programs 10; the limit sits far above both, and far below the
+   depth (about 6M frames) where either back end would overflow OCaml's
+   default 1 GiB stack. *)
+let test_call_depth_limit () =
+  Alcotest.(check bool) "limit above the suite's deepest call" true
+    (Eval.max_call_depth > 27);
+  check_same_error "runaway recursion"
+    ~expect:"call depth limit exceeded (100000 nested calls)"
+    "int f(int n) { return f(n + 1) + 1; }\nint main(void) { return f(0); }";
+  pin "recursion just under the limit" ~out:"99998\n"
+    {|int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }
+int main(void) { printf("%d\n", f(99998)); return 0; }|}
+
+(* ------------------------------------------------------------------ *)
 (* Profile pin: one MD5 over every observable of every suite run and a
    fixed [Corpus.Genprog] sample on the Compiled back end — exit code,
    stdout and the %.17g [Profile.save] text (or the stop or diagnostic a
@@ -348,4 +555,13 @@ let suite =
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
     Alcotest.test_case "wall-clock limit" `Quick test_wall_clock_limit;
     Alcotest.test_case "memoized shared state" `Quick test_memoization;
+    Alcotest.test_case "unboxed arithmetic" `Quick test_unboxed_arithmetic;
+    Alcotest.test_case "memcpy into int cells" `Quick
+      test_memcpy_into_int_cells;
+    Alcotest.test_case "fused access" `Quick test_fused_access;
+    Alcotest.test_case "short-circuit conditions" `Quick
+      test_short_circuit_conditions;
+    Alcotest.test_case "switch tables" `Quick test_switch_tables;
+    Alcotest.test_case "fuel exhaustion mid-block" `Quick test_fuel_mid_block;
+    Alcotest.test_case "call depth limit" `Quick test_call_depth_limit;
     QCheck_alcotest.to_alcotest prop_backends_identical ]
