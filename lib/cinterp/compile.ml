@@ -96,8 +96,9 @@ type bv = state -> frame -> bool
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
 
 (* What [compile] makes of one expression: an [Int] always yields a
-   [Vint], a [Bool] always [Vint 0] or [Vint 1]. *)
-type code = Int of iv | Bool of bv | Val of ev
+   [Vint], a [Const] always the same one, a [Bool] always [Vint 0] or
+   [Vint 1]. *)
+type code = Int of iv | Const of int | Bool of bv | Val of ev
 
 (* A binary operator with its operand types resolved. [Oint (fast,
    slow)] always yields an int: [fast] on two ints, [slow] on any two
@@ -182,21 +183,29 @@ let make_vals = function
 let to_ev : code -> ev = function
   | Val ce -> ce
   | Int ci -> fun st fr -> Value.Vint (ci st fr)
+  | Const n ->
+    let v = Value.Vint n in
+    fun _ _ -> v
   | Bool cb -> fun st fr -> if cb st fr then vone else vzero
 
 let to_bv : code -> bv = function
   | Bool cb -> cb
   | Int ci -> fun st fr -> ci st fr <> 0
+  | Const n ->
+    let b = n <> 0 in
+    fun _ _ -> b
   | Val ce -> fun st fr -> Value.to_bool (ce st fr)
 
 (* The int where the boxed code calls [Value.int_of]. *)
 let to_iv : code -> iv = function
   | Int ci -> ci
+  | Const n -> fun _ _ -> n
   | Bool cb -> fun st fr -> if cb st fr then 1 else 0
   | Val ce -> fun st fr -> Value.int_of (ce st fr)
 
 let effect : code -> state -> frame -> unit = function
   | Int ci -> fun st fr -> ignore (ci st fr)
+  | Const _ -> fun _ _ -> ()
   | Bool cb -> fun st fr -> ignore (cb st fr)
   | Val ce -> fun st fr -> ignore (ce st fr)
 
@@ -206,12 +215,21 @@ let effect : code -> state -> frame -> unit = function
 let fuse (fast : int -> int -> 'r) (slow : Value.value -> Value.value -> 'r)
     (ka : code) (kb : code) : state -> frame -> 'r =
   match (ka, kb) with
-  | (Int _ | Bool _), (Int _ | Bool _) ->
+  | (Int _ | Const _ | Bool _), Const y ->
+    let ia = to_iv ka in
+    fun st fr -> fast (ia st fr) y
+  | Val ca, Const y ->
+    fun st fr -> begin
+      match ca st fr with
+      | Value.Vint x -> fast x y
+      | va -> slow va (Value.Vint y)
+    end
+  | (Int _ | Const _ | Bool _), (Int _ | Bool _) ->
     let ia = to_iv ka and ib = to_iv kb in
     fun st fr ->
       let x = ia st fr in
       fast x (ib st fr)
-  | (Int _ | Bool _), Val cb ->
+  | (Int _ | Const _ | Bool _), Val cb ->
     let ia = to_iv ka in
     fun st fr ->
       let x = ia st fr in
@@ -375,7 +393,7 @@ let designated_ty (env : cenv) (e : Ast.expr) : Ctypes.ty =
 let assign_int (ty : Ctypes.ty) (k : int) (code : code) : iv =
   let char = ty = Ctypes.Tchar in
   match code with
-  | Int _ | Bool _ ->
+  | Int _ | Const _ | Bool _ ->
     let ci = to_iv code in
     fun st fr ->
       let v = wrap char (ci st fr) in
@@ -396,10 +414,8 @@ let no_delta : iv = fun _ _ -> 0
 
 let rec compile (env : cenv) (e : Ast.expr) : code =
   match e.Ast.enode with
-  | Ast.IntLit n ->
-    let n = Value.wrap32 n in
-    Int (fun _ _ -> n)
-  | Ast.CharLit c -> Int (fun _ _ -> c)
+  | Ast.IntLit n -> Const (Value.wrap32 n)
+  | Ast.CharLit c -> Const c
   | Ast.FloatLit f ->
     let v = Value.Vfloat f in
     Val (fun _ _ -> v)
@@ -420,7 +436,8 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   | Ast.Cond (c, a, b) -> begin
     let cc = to_bv (compile env c) in
     match (compile env a, compile env b) with
-    | ((Int _ | Bool _) as ka), ((Int _ | Bool _) as kb) ->
+    | ((Int _ | Const _ | Bool _) as ka), ((Int _ | Const _ | Bool _) as kb)
+      ->
       let ia = to_iv ka and ib = to_iv kb in
       Int (fun st fr -> if cc st fr then ia st fr else ib st fr)
     | ka, kb ->
@@ -443,7 +460,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
         (fun st fr ->
           let v = ca st fr in
           if Value.is_null v then vzero else v)
-    | (Ctypes.Tint | Ctypes.Tchar), (Int _ | Bool _) ->
+    | (Ctypes.Tint | Ctypes.Tchar), (Int _ | Const _ | Bool _) ->
       let char = ty = Ctypes.Tchar and ia = to_iv k in
       Int (fun st fr -> wrap char (ia st fr))
     | (Ctypes.Tint | Ctypes.Tchar), Val ca ->
@@ -454,12 +471,8 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   end
   | Ast.Index _ | Ast.Field _ | Ast.Arrow _ ->
     Val (compile_load env (designated_ty env e) e)
-  | Ast.SizeofT ty ->
-    let n = size_of env ty in
-    Int (fun _ _ -> n)
-  | Ast.SizeofE a ->
-    let n = size_of env (ty_of env a) in
-    Int (fun _ _ -> n)
+  | Ast.SizeofT ty -> Const (size_of env ty)
+  | Ast.SizeofE a -> Const (size_of env (ty_of env a))
   | Ast.PreIncr a -> compile_incr_decr env a ~delta:1 ~pre:true
   | Ast.PreDecr a -> compile_incr_decr env a ~delta:(-1) ~pre:true
   | Ast.PostIncr a -> compile_incr_decr env a ~delta:1 ~pre:false
@@ -467,7 +480,8 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   | Ast.Comma (a, b) -> begin
     let ea = effect (compile env a) in
     match compile env b with
-    | Int ib ->
+    | (Int _ | Const _) as kb ->
+      let ib = to_iv kb in
       Int
         (fun st fr ->
           ea st fr;
@@ -500,7 +514,7 @@ and compile_load (env : cenv) (ty : Ctypes.ty) (e : Ast.expr) : ev =
 
 and compile_ident (env : cenv) (e : Ast.expr) : code =
   match Typecheck.resolution_of env.tc e with
-  | Some (Typecheck.Renum v) -> Int (fun _ _ -> v)
+  | Some (Typecheck.Renum v) -> Const v
   | Some (Typecheck.Rfun name) ->
     let v = Value.Vfun (Value.Fuser name) in
     Val (fun _ _ -> v)
@@ -632,7 +646,7 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : code =
   | Ast.Uplus -> compile env a
   | Ast.Uneg -> begin
     match compile env a with
-    | (Int _ | Bool _) as k ->
+    | (Int _ | Const _ | Bool _) as k ->
       let ia = to_iv k in
       Int (fun st fr -> Value.wrap32 (-ia st fr))
     | Val ca ->
