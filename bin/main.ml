@@ -30,8 +30,9 @@ let read_file path =
   close_in ic;
   s
 
-(* The file commands' one fault handler. A front-end error in FILE, or
-   a run-time error or budget stop while interpreting it, prints
+(* The file commands' one fault handler. A front-end error in FILE, a
+   run-time error or budget stop while interpreting it, or a malformed
+   saved profile prints
    "FILE:LINE:COL: message" on stderr ("FILE: message" for a run-time
    fault, which has no source position), is recorded under [record]'s
    fault stages, and exits with [record]'s degraded code. Any other
@@ -50,7 +51,8 @@ let file_fault path (e : exn) : 'a =
     | Cfront.Preproc.Error (m, line) ->
       (Driver.Fault.Compile, Printf.sprintf "%d:" line, m)
     | Cfront.Ctypes.Type_error m -> (Driver.Fault.Compile, "", m)
-    | Cinterp.Value.Runtime_error m -> (Driver.Fault.Profile, "", m)
+    | Cinterp.Value.Runtime_error m | Cinterp.Profile.Parse_error m ->
+      (Driver.Fault.Profile, "", m)
     | Cinterp.Eval.Budget_exhausted (stop, o) ->
       ( Driver.Fault.Profile,
         "",
@@ -352,7 +354,10 @@ let cmd_run =
 let cmd_score =
   let run path profile_file mode cutoff =
     let c = load path in
-    let profile = Profile.load (read_file profile_file) in
+    let profile =
+      try Profile.load (read_file profile_file)
+      with e -> file_fault profile_file e
+    in
     let estimate = Pipeline.intra_provider c mode in
     let intra_wm = Pipeline.intra_score c ~estimate profile ~cutoff in
     Printf.printf "intra weight-matching (%s, %.0f%% cutoff): %.1f%%\n"

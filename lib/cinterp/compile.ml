@@ -12,23 +12,20 @@
 
    - expression types, element sizes and field offsets are baked into the
      closures (no side-table lookups at run time);
-   - integer work is unboxed. [compile] returns, per expression, an int
-     closure when the expression always yields a [Vint] (literals, enum
-     constants, int and char frame slots, integral arithmetic, shifts and
+   - integer work is unboxed. [compile] makes, once per node and bottom
+     up, an int closure for an expression that always yields a [Vint]
+     (constants, int and char frame slots, integral arithmetic, shifts,
      bitwise operators, assignments and [++]/[--] to int slots), a bool
      closure for comparisons and [!]/[&&]/[||], and a [Value.value]
-     closure otherwise. The choice is made once per node, bottom up, so
-     no node is compiled twice. A value operand of an int operator is
-     matched against [Vint]; anything else takes the boxed operator,
-     which raises exactly as [Eval] does. Loads from [Memory] are never
-     assumed to be ints: [memcpy] can put a pointer or a double in an
-     int cell;
-   - locals are addressed by pre-computed slot index. [Eval.needs_block]
-     (the slot rule) runs once per function here. Scalar locals and
-     parameters whose address is never taken live in the frame: int and
-     char slots unboxed in [ivals], double and pointer slots in [vals].
-     Only the slots the rule marks get a [Memory] block, allocated in
-     slot order as under [Eval];
+     closure otherwise. A value operand of an int operator is matched
+     against [Vint]; anything else takes the boxed operator, which raises
+     exactly as [Eval] does. Loads from [Memory] are never assumed to be
+     ints: [memcpy] can put a pointer or a double in an int cell;
+   - locals are addressed by pre-computed slot index. The slot rule
+     ([Eval.needs_block]) runs once per function: int and char locals it
+     keeps in the frame live unboxed in [ivals], doubles and pointers in
+     [vals], and only the slots it marks get a [Memory] block, allocated
+     in slot order as under [Eval];
    - [a[i]] and [p->f] reach memory through [Memory.load_at]/[store_at]
      with a (base, delta) pair, so no pointer record is built per access;
    - globals are addressed by a dense index into a per-run pointer array
@@ -39,8 +36,12 @@
    - direct call targets and builtin dispatch are looked up ahead of time,
      each call site carries its profile counter index, and arguments are
      passed in an array, evaluated left to right;
-   - branch and switch terminators are specialized, so the profiling hot
-     loop is closure application plus counter bumps.
+   - each block is one closure that checks the budgets, counts itself,
+     runs its instructions and tail-calls its successor's closure, so the
+     profiling hot loop is closure application plus counter bumps. A
+     switch with a case span under [dense_switch_span] jumps through an
+     array. The work count is the fuel spent, read once at the end;
+   - a call deeper than [Eval.max_call_depth] raises [Eval]'s error.
 
    The contract with [Eval] is strict: identical evaluation order,
    identical diagnostics (the [Value.Runtime_error] messages are the
@@ -64,9 +65,7 @@ type state = {
   mem : Memory.t;
   bctx : Builtins.ctx;
   globals : Value.ptr array;            (* by [global_order] position *)
-  string_cache : Value.value array;
-      (* by literal index: the literal's [Vptr] once interned, [Vint 0]
-         before *)
+  string_cache : Value.value array; (* by literal; [Vint 0] until used *)
   strings : (string, Value.ptr) Hashtbl.t;
       (* content-keyed intern table, shared with argv strings so literal
          and argv interning interleave exactly as under [Eval] *)
@@ -169,8 +168,6 @@ let make_ints = function
   | 2 -> [| 0; 0 |]
   | 3 -> [| 0; 0; 0 |]
   | 4 -> [| 0; 0; 0; 0 |]
-  | 5 -> [| 0; 0; 0; 0; 0 |]
-  | 6 -> [| 0; 0; 0; 0; 0; 0 |]
   | n -> Array.make n 0
 
 let make_vals = function
@@ -260,15 +257,9 @@ let boxed_op : op -> Value.value -> Value.value -> Value.value = function
 let compile_args : ev list -> state -> frame -> Value.value array = function
   | [] -> fun _ _ -> [||]
   | [ a ] -> fun st fr -> [| a st fr |]
-  | [ a; b ] ->
-    fun st fr ->
-      let x = a st fr in
-      [| x; b st fr |]
+  | [ a; b ] -> fun st fr -> let x = a st fr in [| x; b st fr |]
   | [ a; b; c ] ->
-    fun st fr ->
-      let x = a st fr in
-      let y = b st fr in
-      [| x; y; c st fr |]
+    fun st fr -> let x = a st fr in let y = b st fr in [| x; y; c st fr |]
   | cargs ->
     let cargs = Array.of_list cargs in
     fun st fr ->
@@ -405,6 +396,14 @@ let assign_int (ty : Ctypes.ty) (k : int) (code : code) : iv =
       fr.ivals.(k) <- v;
       v
 
+(* The same for a double or pointer slot. *)
+let assign_val (ty : Ctypes.ty) (k : int) (code : code) : ev =
+  let ce = to_ev code in
+  fun st fr ->
+    let v = Eval.coerce ty (ce st fr) in
+    fr.vals.(k) <- v;
+    v
+
 (* An address that needs no delta. *)
 let no_delta : iv = fun _ _ -> 0
 
@@ -450,10 +449,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
     match (ty, k) with
     | Ctypes.Tvoid, _ ->
       let ea = effect k in
-      Int
-        (fun st fr ->
-          ea st fr;
-          0)
+      Int (fun st fr -> ea st fr; 0)
     | Ctypes.Tptr _, _ ->
       let ca = to_ev k in
       Val
@@ -482,20 +478,9 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
     match compile env b with
     | (Int _ | Const _) as kb ->
       let ib = to_iv kb in
-      Int
-        (fun st fr ->
-          ea st fr;
-          ib st fr)
-    | Bool bb ->
-      Bool
-        (fun st fr ->
-          ea st fr;
-          bb st fr)
-    | Val cb ->
-      Val
-        (fun st fr ->
-          ea st fr;
-          cb st fr)
+      Int (fun st fr -> ea st fr; ib st fr)
+    | Bool bb -> Bool (fun st fr -> ea st fr; bb st fr)
+    | Val cb -> Val (fun st fr -> ea st fr; cb st fr)
   end
 
 and compile_expr (env : cenv) (e : Ast.expr) : ev = to_ev (compile env e)
@@ -609,30 +594,16 @@ and compile_lvalue (env : cenv) (e : Ast.expr) : lv =
 (* An expression that must yield a pointer. An aggregate local or global
    yields its block directly, without a [Vptr] box. *)
 and compile_ptr (env : cenv) (e : Ast.expr) : lv =
-  let direct =
-    match e.Ast.enode with
-    | Ast.Ident _ -> begin
-      match Typecheck.resolution_of env.tc e with
-      | Some (Typecheck.Rlocal slot) -> begin
-        match env.slots.(slot) with
-        | Smem k when is_aggregate (local_ty env slot) ->
-          Some (fun _ fr -> fr.locals.(k))
-        | _ -> None
-      end
-      | Some (Typecheck.Rglobal gname) -> begin
-        let d = Hashtbl.find env.tc.Typecheck.globals gname in
-        match Hashtbl.find_opt env.global_index gname with
-        | Some gi when is_aggregate d.Ast.d_ty ->
-          Some (fun st _ -> st.globals.(gi))
-        | _ -> None
-      end
-      | _ -> None
-    end
-    | _ -> None
+  let aggregate =
+    match (e.Ast.enode, Typecheck.resolution_of env.tc e) with
+    | Ast.Ident _, Some (Typecheck.Rlocal slot) ->
+      is_aggregate (local_ty env slot)
+    | Ast.Ident _, Some (Typecheck.Rglobal g) ->
+      is_aggregate (Hashtbl.find env.tc.Typecheck.globals g).Ast.d_ty
+    | _ -> false
   in
-  match direct with
-  | Some p -> p
-  | None ->
+  if aggregate then fst (compile_addr env e)
+  else
     let ce = compile_expr env e in
     fun st fr -> begin
       match ce st fr with
@@ -703,11 +674,7 @@ and compile_binop (env : cenv) (op : Ast.binop) (a : Ast.expr) (b : Ast.expr)
     | Obool (fast, slow) -> Bool (fuse fast slow ka kb)
     | Oval app ->
       let ca = to_ev ka and cb = to_ev kb in
-      Val
-        (fun st fr ->
-          let va = ca st fr in
-          let vb = cb st fr in
-          app va vb)
+      Val (fun st fr -> let va = ca st fr in app va (cb st fr))
   end
 
 (* Specialized [Eval.apply_binop]: the type dispatch, element sizes and
@@ -749,14 +716,13 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
     in
     Obool (fast, slow)
   in
-  let divide msg fast f =
+  let divide msg f =
+    let check d = if d = 0 then Value.error "%s" msg in
     Oint
-      ( (fun x d ->
-          if d = 0 then Value.error "%s" msg;
-          fast x d),
+      ( (fun x d -> check d; Value.wrap32 (f x d)),
         fun va vb ->
           let d = Value.int_of vb in
-          if d = 0 then Value.error "%s" msg;
+          check d;
           Value.wrap32 (f (Value.int_of va) d) )
   in
   match op with
@@ -803,18 +769,14 @@ and compile_apply_binop (env : cenv) ~(ta : Ctypes.ty) ~(tb : Ctypes.ty)
         let d = Value.float_of vb in
         if d = 0.0 then Value.error "floating division by zero";
         Value.Vfloat (Value.float_of va /. d))
-  | Ast.Bdiv ->
-    divide "division by zero" (fun x d -> Value.wrap32 (x / d)) ( / )
-  | Ast.Bmod ->
-    divide "modulo by zero" (fun x d -> Value.wrap32 (x mod d)) ( mod )
+  | Ast.Bdiv -> divide "division by zero" ( / )
+  | Ast.Bmod -> divide "modulo by zero" ( mod )
   | Ast.Bshl ->
-    int_op
-      (fun x y -> Value.wrap32 (x lsl (y land 31)))
-      (fun x y -> x lsl (y land 31))
+    let f x y = x lsl (y land 31) in
+    int_op (fun x y -> Value.wrap32 (f x y)) f
   | Ast.Bshr ->
-    int_op
-      (fun x y -> Value.wrap32 (x asr (y land 31)))
-      (fun x y -> x asr (y land 31))
+    let f x y = x asr (y land 31) in
+    int_op (fun x y -> Value.wrap32 (f x y)) f
   | Ast.Bband -> int_op (fun x y -> Value.wrap32 (x land y)) ( land )
   | Ast.Bbor -> int_op (fun x y -> Value.wrap32 (x lor y)) ( lor )
   | Ast.Bbxor -> int_op (fun x y -> Value.wrap32 (x lxor y)) ( lxor )
@@ -850,13 +812,7 @@ and compile_assign (env : cenv) (op : Ast.assign_op) (lhs : Ast.expr)
     let krhs = compile env rhs in
     match slot_of env lhs with
     | Some (Sint k) -> Int (assign_int tl k krhs)
-    | Some (Sval k) ->
-      let crhs = to_ev krhs in
-      Val
-        (fun st fr ->
-          let v = Eval.coerce tl (crhs st fr) in
-          fr.vals.(k) <- v;
-          v)
+    | Some (Sval k) -> Val (assign_val tl k krhs)
     | Some (Smem _) | None ->
       let crhs = to_ev krhs in
       let base, delta = compile_addr env lhs in
@@ -920,18 +876,12 @@ and compile_incr_decr (env : cenv) (a : Ast.expr) ~(delta : int)
   match slot_of env a with
   | Some (Sint k) ->
     let char = ty = Ctypes.Tchar in
-    if pre then
-      Int
-        (fun _ fr ->
-          let v = wrap char (fr.ivals.(k) + delta) in
-          fr.ivals.(k) <- v;
-          v)
-    else
-      Int
-        (fun _ fr ->
-          let old = fr.ivals.(k) in
-          fr.ivals.(k) <- wrap char (old + delta);
-          old)
+    Int
+      (fun _ fr ->
+        let old = fr.ivals.(k) in
+        let v = wrap char (old + delta) in
+        fr.ivals.(k) <- v;
+        if pre then v else old)
   | slot -> begin
     let fresh_of : Value.value -> Value.value =
       match ty with
@@ -1094,8 +1044,8 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
       let set = assign_int ty k (compile env e) in
       fun st fr -> ignore (set st fr)
     | Some (Ast.Iexpr e), Sval k ->
-      let ce = compile_expr env e in
-      fun st fr -> fr.vals.(k) <- Eval.coerce ty (ce st fr)
+      let set = assign_val ty k (compile env e) in
+      fun st fr -> ignore (set st fr)
     | Some init, Smem k ->
       let w = compile_write_init env ty init in
       fun st fr -> w st fr fr.locals.(k)
@@ -1216,29 +1166,25 @@ let compile_fn_record (env : cenv) (tc : Typecheck.t) (i : int) (fn : Cfg.fn)
     : cfn =
   let locals = fn.Cfg.fn_info.Typecheck.fi_locals in
   let in_mem = Eval.needs_block tc fn in
-  let n_ints = ref 0 and n_vals = ref 0 and mem = ref [] in
+  let count = [| 0; 0; 0 |] in
+  let next c = count.(c) <- count.(c) + 1; count.(c) - 1 in
   let slots =
     Array.mapi
       (fun i (li : Typecheck.local_info) ->
-        if in_mem.(i) then begin
-          mem := i :: !mem;
-          Smem (List.length !mem - 1)
-        end
-        else
-          match li.Typecheck.l_ty with
-          | Ctypes.Tint | Ctypes.Tchar ->
-            incr n_ints;
-            Sint (!n_ints - 1)
-          | _ ->
-            incr n_vals;
-            Sval (!n_vals - 1))
+        match li.Typecheck.l_ty with
+        | _ when in_mem.(i) -> Smem (next 2)
+        | Ctypes.Tint | Ctypes.Tchar -> Sint (next 0)
+        | _ -> Sval (next 1))
       locals
   in
-  let mem = Array.of_list (List.rev !mem) in
+  let mem =
+    Array.of_list
+      (List.filter (Array.get in_mem) (List.init (Array.length in_mem) Fun.id))
+  in
   let ret = fn.Cfg.fn_def.Ast.f_ret in
   { c_name = fn.Cfg.fn_name; c_index = i; c_entry = fn.Cfg.fn_entry;
     c_code = Array.make (Array.length fn.Cfg.fn_blocks) (fun _ _ -> vzero);
-    c_slots = slots; c_n_ints = !n_ints; c_n_vals = !n_vals;
+    c_slots = slots; c_n_ints = count.(0); c_n_vals = count.(1);
     c_mem_sizes =
       Array.map (fun s -> size_of env locals.(s).Typecheck.l_ty) mem;
     c_mem_tags =
@@ -1363,12 +1309,11 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
     try
       (* Globals: allocate all storage in declaration order, then run the
          initializers — the same two passes as [Eval.init_globals]. *)
-      let dummy =
-        { ivals = [||]; vals = [||]; locals = [||];
-          fc =
-            { Profile.block_counts = [||]; branch_taken = [||];
-              branch_not_taken = [||] } }
+      let fc =
+        { Profile.block_counts = [||]; branch_taken = [||];
+          branch_not_taken = [||] }
       in
+      let dummy = { ivals = [||]; vals = [||]; locals = [||]; fc } in
       Array.iteri
         (fun i size ->
           st.globals.(i) <-

@@ -36,12 +36,11 @@ exception Out_of_wall_clock
    never triggers. *)
 let clock_check_interval = 50_000
 
-(* The deepest C call either back end makes: one more raises
-   [call_too_deep]'s [Runtime_error]. Each C call nests OCaml frames, so
-   unbounded recursion would otherwise run until the OCaml stack
-   overflows, gigabytes later. The suite's deepest call is far below
-   this (see [test/test_compile.ml]); at this depth the tree walker's
-   stack is still well under the default OCaml stack limit. *)
+(* The deepest C call either back end makes. Each C call nests OCaml
+   frames, so unbounded recursion would otherwise run until the OCaml
+   stack overflows, gigabytes later. The suite's deepest call is 27
+   (see [test/test_compile.ml]); at this depth either back end uses
+   about 16 MB of the default 1 GiB OCaml stack. *)
 let max_call_depth = 100_000
 
 let call_too_deep () =
@@ -158,12 +157,10 @@ let intern_string (g : genv) (s : string) : Value.ptr =
 let coerce (ty : Ctypes.ty) (v : Value.value) : Value.value =
   match (ty, v) with
   | Ctypes.Tint, Value.Vint n ->
-    let m = Value.wrap32 n in
-    if m = n then v else Value.Vint m
+    if Value.wrap32 n = n then v else Value.Vint (Value.wrap32 n)
   | Ctypes.Tint, Value.Vfloat f -> Value.Vint (Value.wrap32 (int_of_float f))
   | Ctypes.Tchar, Value.Vint n ->
-    let m = Value.wrap8 n in
-    if m = n then v else Value.Vint m
+    if Value.wrap8 n = n then v else Value.Vint (Value.wrap8 n)
   | Ctypes.Tchar, Value.Vfloat f -> Value.Vint (Value.wrap8 (int_of_float f))
   | Ctypes.Tdouble, (Value.Vint _ | Value.Vfloat _) ->
     Value.Vfloat (Value.float_of v)

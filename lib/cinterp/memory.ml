@@ -5,10 +5,8 @@
    are detected rather than silently corrupting unrelated objects — an
    interpreter-grade substitute for the paper's native execution.
 
-   [load_at] and [store_at] take a pointer and a cell delta: they make
-   the same checks, in the same order and with the same messages, as
-   [load]/[store] of [offset p delta], but build no pointer record. The
-   compiled back end uses them for [a[i]] and [p->f]. *)
+   [load_at p delta] and [store_at p delta] check and report exactly as
+   [load]/[store] of [offset p delta], without building that pointer. *)
 
 type block = {
   mutable cells : Value.value array;

@@ -1,35 +1,36 @@
-(* The file commands' typed fault: bad source, a run-time error and
-   runaway recursion each print one "FILE:LINE:COL: message" line (a
-   run-time fault has no position: "FILE: message") and exit with the
-   degraded code 3 that [record] uses, never cmdliner's crash code 125.
-   The working directory is the build root, which holds bin/main.exe. *)
+(* The file commands' typed fault: bad source, a run-time error, runaway
+   recursion and a malformed saved profile each print one
+   "FILE:LINE:COL: message" line (a fault with no source position:
+   "FILE: message") and exit with the degraded code 3 that [record]
+   uses, never cmdliner's crash code 125. The working directory is the
+   build root, which holds bin/main.exe. *)
 
 let exe = "bin/main.exe"
 
-(* Run [exe args] on a fresh file holding [src]; the file's path, the
-   exit code and stderr. *)
-let run_on cmd src =
-  let path = Filename.temp_file "cli" ".c" in
-  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+(* A fresh file holding [text]. *)
+let temp_file suffix text =
+  let path = Filename.temp_file "cli" suffix in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  path
+
+(* Run [exe args]; its exit code and stderr. *)
+let spawn args =
   let err_r, err_w = Unix.pipe ~cloexec:true () in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process exe [| exe; cmd; path |] Unix.stdin null err_w
-  in
+  let argv = Array.of_list (exe :: args) in
+  let pid = Unix.create_process exe argv Unix.stdin null err_w in
   Unix.close err_w;
   Unix.close null;
   let err = In_channel.input_all (Unix.in_channel_of_descr err_r) in
   Unix.close err_r;
-  let code =
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED c -> c
-    | _ -> -1
-  in
-  Sys.remove path;
-  (path, code, err)
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> (c, err)
+  | _ -> (-1, err)
 
 let check name cmd src ~expect =
-  let path, code, err = run_on cmd src in
+  let path = temp_file ".c" src in
+  let code, err = spawn [ cmd; path ] in
+  Sys.remove path;
   Alcotest.(check int) (name ^ ": exit code") 3 code;
   Alcotest.(check string) (name ^ ": message") (path ^ expect ^ "\n") err
 
@@ -51,10 +52,21 @@ let test_run_time () =
     "int f(int n) { return f(n + 1) + 1; }\nint main(void) { return f(0); }\n"
     ~expect:": call depth limit exceeded (100000 nested calls)"
 
+let test_bad_profile () =
+  let src = temp_file ".c" "int main(void) { return 0; }\n" in
+  let prof = temp_file ".prof" "garbage\n" in
+  let code, err = spawn [ "score"; src; "--profile"; prof ] in
+  Sys.remove src;
+  Sys.remove prof;
+  Alcotest.(check int) "exit code" 3 code;
+  Alcotest.(check string) "message" (prof ^ ": not a profile-v1 file\n") err
+
 let test_healthy () =
-  let _, code, err =
-    run_on "run" "int main(void) { printf(\"hi\\n\"); return 7; }\n"
+  let src =
+    temp_file ".c" "int main(void) { printf(\"hi\\n\"); return 7; }\n"
   in
+  let code, err = spawn [ "run"; src ] in
+  Sys.remove src;
   Alcotest.(check int) "exit code is the program's" 7 code;
   Alcotest.(check string) "stderr" "[exit 7, 2 work units]\n" err
 
@@ -64,4 +76,5 @@ let () =
     [ ( "file commands",
         [ Alcotest.test_case "front-end faults" `Quick test_front_end;
           Alcotest.test_case "run-time faults" `Quick test_run_time;
+          Alcotest.test_case "malformed saved profile" `Quick test_bad_profile;
           Alcotest.test_case "healthy run" `Quick test_healthy ] ) ]
