@@ -32,11 +32,10 @@ let read_file path =
 
 (* The file commands' one fault handler. A front-end error in FILE, a
    run-time error or budget stop while interpreting it, or a malformed
-   saved profile prints
-   "FILE:LINE:COL: message" on stderr ("FILE: message" for a run-time
-   fault, which has no source position), is recorded under [record]'s
-   fault stages, and exits with [record]'s degraded code. Any other
-   exception is a bug and escapes. *)
+   saved profile prints "FILE:LINE:COL: message" on stderr ("FILE:
+   message" when there is no source position), is recorded under
+   [record]'s fault stages, and exits with [record]'s degraded code. Any
+   other exception is a bug and escapes. *)
 let file_fault path (e : exn) : 'a =
   let bt = Printexc.get_raw_backtrace () in
   let stage, pos, msg =
