@@ -433,7 +433,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   | Ast.Binop (op, a, b) -> compile_binop env op a b
   | Ast.Assign (op, lhs, rhs) -> compile_assign env op lhs rhs
   | Ast.Cond (c, a, b) -> begin
-    let cc = to_bv (compile env c) in
+    let cc = compile_cond env c in
     match (compile env a, compile env b) with
     | ((Int _ | Const _ | Bool _) as ka), ((Int _ | Const _ | Bool _) as kb)
       ->
@@ -484,6 +484,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   end
 
 and compile_expr (env : cenv) (e : Ast.expr) : ev = to_ev (compile env e)
+and compile_cond (env : cenv) (e : Ast.expr) : bv = to_bv (compile env e)
 
 (* Load through a pre-resolved declared type: aggregates evaluate to their
    address, scalars to the stored cell. *)
@@ -629,7 +630,7 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : code =
           | v -> Value.error "cannot negate %s" (Value.to_string v))
   end
   | Ast.Unot ->
-    let ca = to_bv (compile env a) in
+    let ca = compile_cond env a in
     Bool (fun st fr -> not (ca st fr))
   | Ast.Ubnot ->
     let ia = to_iv (compile env a) in
@@ -1065,7 +1066,7 @@ let compile_term (env : cenv) (codes : ev array) (bid : int) :
     Cfg.terminator -> ev = function
   | Cfg.Tjump next -> fun st fr -> codes.(next) st fr
   | Cfg.Tbranch (br, t, f) ->
-    let cond = to_bv (compile env br.Cfg.br_cond) in
+    let cond = compile_cond env br.Cfg.br_cond in
     fun st fr ->
       if cond st fr then begin
         let bt = fr.fc.Profile.branch_taken in
