@@ -38,9 +38,8 @@
      passed in an array, evaluated left to right;
    - each block is one closure that checks the budgets, counts itself,
      runs its instructions and tail-calls its successor's closure, so the
-     profiling hot loop is closure application plus counter bumps. A
-     switch with a case span under [dense_switch_span] jumps through an
-     array. The work count is the fuel spent, read once at the end;
+     profiling hot loop is closure application plus counter bumps. The
+     work count is the fuel spent, read once at the end;
    - a call deeper than [Eval.max_call_depth] raises [Eval]'s error.
 
    The contract with [Eval] is strict: identical evaluation order,
@@ -73,6 +72,7 @@ type state = {
   profile : Profile.t;
   mutable fuel : int;
   mutable depth : int;                  (* active C calls *)
+  mutable peak_depth : int;
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
@@ -95,9 +95,8 @@ type bv = state -> frame -> bool
 type lv = state -> frame -> Value.ptr     (* compiled lvalue *)
 
 (* What [compile] makes of one expression: an [Int] always yields a
-   [Vint], a [Const] always the same one, a [Bool] always [Vint 0] or
-   [Vint 1]. *)
-type code = Int of iv | Const of int | Bool of bv | Val of ev
+   [Vint], a [Bool] always [Vint 0] or [Vint 1]. *)
+type code = Int of iv | Bool of bv | Val of ev
 
 (* A binary operator with its operand types resolved. [Oint (fast,
    slow)] always yields an int: [fast] on two ints, [slow] on any two
@@ -180,29 +179,21 @@ let make_vals = function
 let to_ev : code -> ev = function
   | Val ce -> ce
   | Int ci -> fun st fr -> Value.Vint (ci st fr)
-  | Const n ->
-    let v = Value.Vint n in
-    fun _ _ -> v
   | Bool cb -> fun st fr -> if cb st fr then vone else vzero
 
 let to_bv : code -> bv = function
   | Bool cb -> cb
   | Int ci -> fun st fr -> ci st fr <> 0
-  | Const n ->
-    let b = n <> 0 in
-    fun _ _ -> b
   | Val ce -> fun st fr -> Value.to_bool (ce st fr)
 
 (* The int where the boxed code calls [Value.int_of]. *)
 let to_iv : code -> iv = function
   | Int ci -> ci
-  | Const n -> fun _ _ -> n
   | Bool cb -> fun st fr -> if cb st fr then 1 else 0
   | Val ce -> fun st fr -> Value.int_of (ce st fr)
 
 let effect : code -> state -> frame -> unit = function
   | Int ci -> fun st fr -> ignore (ci st fr)
-  | Const _ -> fun _ _ -> ()
   | Bool cb -> fun st fr -> ignore (cb st fr)
   | Val ce -> fun st fr -> ignore (ce st fr)
 
@@ -212,21 +203,12 @@ let effect : code -> state -> frame -> unit = function
 let fuse (fast : int -> int -> 'r) (slow : Value.value -> Value.value -> 'r)
     (ka : code) (kb : code) : state -> frame -> 'r =
   match (ka, kb) with
-  | (Int _ | Const _ | Bool _), Const y ->
-    let ia = to_iv ka in
-    fun st fr -> fast (ia st fr) y
-  | Val ca, Const y ->
-    fun st fr -> begin
-      match ca st fr with
-      | Value.Vint x -> fast x y
-      | va -> slow va (Value.Vint y)
-    end
-  | (Int _ | Const _ | Bool _), (Int _ | Bool _) ->
+  | (Int _ | Bool _), (Int _ | Bool _) ->
     let ia = to_iv ka and ib = to_iv kb in
     fun st fr ->
       let x = ia st fr in
       fast x (ib st fr)
-  | (Int _ | Const _ | Bool _), Val cb ->
+  | (Int _ | Bool _), Val cb ->
     let ia = to_iv ka in
     fun st fr ->
       let x = ia st fr in
@@ -254,32 +236,23 @@ let boxed_op : op -> Value.value -> Value.value -> Value.value = function
   | Obool (_, slow) -> fun va vb -> if slow va vb then vone else vzero
   | Oval app -> app
 
-let compile_args : ev list -> state -> frame -> Value.value array = function
-  | [] -> fun _ _ -> [||]
-  | [ a ] -> fun st fr -> [| a st fr |]
-  | [ a; b ] -> fun st fr -> let x = a st fr in [| x; b st fr |]
-  | [ a; b; c ] ->
-    fun st fr -> let x = a st fr in let y = b st fr in [| x; y; c st fr |]
-  | cargs ->
-    let cargs = Array.of_list cargs in
-    fun st fr ->
-      let argv = Array.make (Array.length cargs) vzero in
-      for i = 0 to Array.length cargs - 1 do
-        argv.(i) <- cargs.(i) st fr
-      done;
-      argv
+(* Arguments into a fresh array, left to right. *)
+let compile_args (cargs : ev list) : state -> frame -> Value.value array =
+  let cargs = Array.of_list cargs in
+  fun st fr ->
+    let argv = Array.make (Array.length cargs) vzero in
+    for i = 0 to Array.length cargs - 1 do
+      argv.(i) <- cargs.(i) st fr
+    done;
+    argv
 
 let alloc_locals (st : state) (cf : cfn) : Value.ptr array =
   let sizes = cf.c_mem_sizes and tags = cf.c_mem_tags in
-  match Array.length sizes with
-  | 0 -> [||]
-  | 1 -> [| Memory.alloc st.mem sizes.(0) ~tag:tags.(0) |]
-  | n ->
-    let locals = Array.make n Eval.no_block in
-    for k = 0 to n - 1 do
-      locals.(k) <- Memory.alloc st.mem sizes.(k) ~tag:tags.(k)
-    done;
-    locals
+  let locals = Array.make (Array.length sizes) Eval.no_block in
+  for k = 0 to Array.length sizes - 1 do
+    locals.(k) <- Memory.alloc st.mem sizes.(k) ~tag:tags.(k)
+  done;
+  locals
 
 (* Mirror of [Eval.exec_fn]: check the call depth, allocate the blocks
    the slot rule asks for (same order, same tags), bind parameters, run
@@ -296,6 +269,7 @@ let call_fn (st : state) (cf : cfn) (args : Value.value array) : Value.value =
     bind.(i) st fr args.(i)
   done;
   st.depth <- st.depth + 1;
+  if st.depth > st.peak_depth then st.peak_depth <- st.depth;
   let result = cf.c_code.(cf.c_entry) st fr in
   st.depth <- st.depth - 1;
   for k = 0 to Array.length locals - 1 do
@@ -384,7 +358,7 @@ let designated_ty (env : cenv) (e : Ast.expr) : Ctypes.ty =
 let assign_int (ty : Ctypes.ty) (k : int) (code : code) : iv =
   let char = ty = Ctypes.Tchar in
   match code with
-  | Int _ | Const _ | Bool _ ->
+  | Int _ | Bool _ ->
     let ci = to_iv code in
     fun st fr ->
       let v = wrap char (ci st fr) in
@@ -404,6 +378,8 @@ let assign_val (ty : Ctypes.ty) (k : int) (code : code) : ev =
     fr.vals.(k) <- v;
     v
 
+let const (n : int) : code = Int (fun _ _ -> n)
+
 (* An address that needs no delta. *)
 let no_delta : iv = fun _ _ -> 0
 
@@ -413,8 +389,8 @@ let no_delta : iv = fun _ _ -> 0
 
 let rec compile (env : cenv) (e : Ast.expr) : code =
   match e.Ast.enode with
-  | Ast.IntLit n -> Const (Value.wrap32 n)
-  | Ast.CharLit c -> Const c
+  | Ast.IntLit n -> const (Value.wrap32 n)
+  | Ast.CharLit c -> const c
   | Ast.FloatLit f ->
     let v = Value.Vfloat f in
     Val (fun _ _ -> v)
@@ -435,7 +411,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   | Ast.Cond (c, a, b) -> begin
     let cc = compile_cond env c in
     match (compile env a, compile env b) with
-    | ((Int _ | Const _ | Bool _) as ka), ((Int _ | Const _ | Bool _) as kb)
+    | ((Int _ | Bool _) as ka), ((Int _ | Bool _) as kb)
       ->
       let ia = to_iv ka and ib = to_iv kb in
       Int (fun st fr -> if cc st fr then ia st fr else ib st fr)
@@ -456,7 +432,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
         (fun st fr ->
           let v = ca st fr in
           if Value.is_null v then vzero else v)
-    | (Ctypes.Tint | Ctypes.Tchar), (Int _ | Const _ | Bool _) ->
+    | (Ctypes.Tint | Ctypes.Tchar), (Int _ | Bool _) ->
       let char = ty = Ctypes.Tchar and ia = to_iv k in
       Int (fun st fr -> wrap char (ia st fr))
     | (Ctypes.Tint | Ctypes.Tchar), Val ca ->
@@ -467,8 +443,8 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   end
   | Ast.Index _ | Ast.Field _ | Ast.Arrow _ ->
     Val (compile_load env (designated_ty env e) e)
-  | Ast.SizeofT ty -> Const (size_of env ty)
-  | Ast.SizeofE a -> Const (size_of env (ty_of env a))
+  | Ast.SizeofT ty -> const (size_of env ty)
+  | Ast.SizeofE a -> const (size_of env (ty_of env a))
   | Ast.PreIncr a -> compile_incr_decr env a ~delta:1 ~pre:true
   | Ast.PreDecr a -> compile_incr_decr env a ~delta:(-1) ~pre:true
   | Ast.PostIncr a -> compile_incr_decr env a ~delta:1 ~pre:false
@@ -476,9 +452,7 @@ let rec compile (env : cenv) (e : Ast.expr) : code =
   | Ast.Comma (a, b) -> begin
     let ea = effect (compile env a) in
     match compile env b with
-    | (Int _ | Const _) as kb ->
-      let ib = to_iv kb in
-      Int (fun st fr -> ea st fr; ib st fr)
+    | Int ib -> Int (fun st fr -> ea st fr; ib st fr)
     | Bool bb -> Bool (fun st fr -> ea st fr; bb st fr)
     | Val cb -> Val (fun st fr -> ea st fr; cb st fr)
   end
@@ -500,7 +474,7 @@ and compile_load (env : cenv) (ty : Ctypes.ty) (e : Ast.expr) : ev =
 
 and compile_ident (env : cenv) (e : Ast.expr) : code =
   match Typecheck.resolution_of env.tc e with
-  | Some (Typecheck.Renum v) -> Const v
+  | Some (Typecheck.Renum v) -> const v
   | Some (Typecheck.Rfun name) ->
     let v = Value.Vfun (Value.Fuser name) in
     Val (fun _ _ -> v)
@@ -618,7 +592,7 @@ and compile_unop (env : cenv) (op : Ast.unop) (a : Ast.expr) : code =
   | Ast.Uplus -> compile env a
   | Ast.Uneg -> begin
     match compile env a with
-    | (Int _ | Const _ | Bool _) as k ->
+    | (Int _ | Bool _) as k ->
       let ia = to_iv k in
       Int (fun st fr -> Value.wrap32 (-ia st fr))
     | Val ca ->
@@ -1058,9 +1032,6 @@ let compile_instr (env : cenv) : Cfg.instr -> state -> frame -> unit =
     | None, _ -> fun _ _ -> ()
   end
 
-(* Widest case span a switch turns into a jump array. *)
-let dense_switch_span = 256
-
 (* A terminator jumps by tail-calling its successor's code. *)
 let compile_term (env : cenv) (codes : ev array) (bid : int) :
     Cfg.terminator -> ev = function
@@ -1081,24 +1052,12 @@ let compile_term (env : cenv) (codes : ev array) (bid : int) :
   | Cfg.Tswitch (scrutinee, cases, default) ->
     (* First match wins under [List.assoc_opt]; preserve that. *)
     let v = to_iv (compile env scrutinee) in
-    let lo = List.fold_left (fun m (c, _) -> min m c) max_int cases in
-    let hi = List.fold_left (fun m (c, _) -> max m c) min_int cases in
-    let target : int -> int =
-      if cases = [] then fun _ -> default
-      else if hi - lo < dense_switch_span then begin
-        let table = Array.make (hi - lo + 1) default in
-        List.iter (fun (c, t) -> table.(c - lo) <- t) (List.rev cases);
-        fun v -> if v >= lo && v <= hi then table.(v - lo) else default
-      end
-      else begin
-        let table = Hashtbl.create (List.length cases) in
-        List.iter
-          (fun (c, t) -> if not (Hashtbl.mem table c) then Hashtbl.add table c t)
-          cases;
-        fun v -> Option.value (Hashtbl.find_opt table v) ~default
-      end
-    in
-    fun st fr -> codes.(target (v st fr)) st fr
+    let table = Hashtbl.create (List.length cases) in
+    List.iter
+      (fun (c, t) -> if not (Hashtbl.mem table c) then Hashtbl.add table c t)
+      cases;
+    fun st fr ->
+      codes.(Option.value (Hashtbl.find_opt table (v st fr)) ~default) st fr
   | Cfg.Treturn (Some e) -> compile_expr env e
   | Cfg.Treturn None -> fun _ _ -> vzero
 
@@ -1123,29 +1082,12 @@ let compile_block (env : cenv) (codes : ev array) (bid : int) (b : Cfg.block)
   let instrs = Array.of_list (List.map (compile_instr env) b.Cfg.b_instrs) in
   let cost = 1 + Array.length instrs in
   let term = compile_term env codes bid b.Cfg.b_term in
-  match instrs with
-  | [||] ->
-    fun st fr ->
-      enter st fr bid cost;
-      term st fr
-  | [| i1 |] ->
-    fun st fr ->
-      enter st fr bid cost;
-      i1 st fr;
-      term st fr
-  | [| i1; i2 |] ->
-    fun st fr ->
-      enter st fr bid cost;
-      i1 st fr;
-      i2 st fr;
-      term st fr
-  | _ ->
-    fun st fr ->
-      enter st fr bid cost;
-      for i = 0 to Array.length instrs - 1 do
-        instrs.(i) st fr
-      done;
-      term st fr
+  fun st fr ->
+    enter st fr bid cost;
+    for i = 0 to Array.length instrs - 1 do
+      instrs.(i) st fr
+    done;
+    term st fr
 
 let bind_param (env : cenv) (slot : slot) (li : Typecheck.local_info) :
     state -> frame -> Value.value -> unit =
@@ -1295,14 +1237,15 @@ let run ?(fuel = Eval.default_fuel) ?deadline_s ?(argv = []) ?(input = "")
         Array.map
           (fun cf -> Profile.fn_counters profile cf.c_name)
           p.p_fn_list;
-      profile; fuel; depth = 0; deadline; clock_tick }
+      profile; fuel; depth = 0; peak_depth = 0; deadline; clock_tick }
   in
   (* Work and fuel both move by [cb_cost] per block, so the work done is
      the fuel spent: exact, as a float, below 2^53 units. *)
   let finish code =
     st.profile.Profile.work <- float_of_int (fuel - st.fuel);
     { Eval.exit_code = code; stdout_text = Builtins.output st.bctx;
-      profile = st.profile; work = st.profile.Profile.work }
+      profile = st.profile; work = st.profile.Profile.work;
+      peak_depth = st.peak_depth }
   in
   match p.p_main with
   | None -> Value.error "program has no main function"

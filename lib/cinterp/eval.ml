@@ -38,9 +38,10 @@ let clock_check_interval = 50_000
 
 (* The deepest C call either back end makes. Each C call nests OCaml
    frames, so unbounded recursion would otherwise run until the OCaml
-   stack overflows, gigabytes later. The suite's deepest call is 27
-   (see [test/test_compile.ml]); at this depth either back end uses
-   about 16 MB of the default 1 GiB OCaml stack. *)
+   stack overflows, gigabytes later. [test/test_compile.ml] checks the
+   limit against the deepest call ([peak_depth]) that the suite and a
+   [Genprog] sample make, 27 when it was set; at the limit either back
+   end uses about 16 MB of the default 1 GiB OCaml stack. *)
 let max_call_depth = 100_000
 
 let call_too_deep () =
@@ -60,6 +61,7 @@ type genv = {
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
   mutable depth : int; (* active C calls *)
+  mutable peak_depth : int; (* the most [depth] has been *)
   slot_rules : (string, bool array) Hashtbl.t; (* [needs_block], per fn *)
 }
 
@@ -587,6 +589,7 @@ and exec_fn (g : genv) (fn : Cfg.fn) (args : Value.value list) : Value.value
     args;
   let counters = Profile.fn_counters g.profile fn.Cfg.fn_name in
   g.depth <- g.depth + 1;
+  if g.depth > g.peak_depth then g.peak_depth <- g.depth;
   let result = exec_blocks g fr counters fn.Cfg.fn_entry in
   g.depth <- g.depth - 1;
   Array.iteri (fun i p -> if in_mem.(i) then Memory.kill g.mem p) locals;
@@ -702,6 +705,7 @@ type outcome = {
   stdout_text : string;
   profile : Profile.t;
   work : float; (* executed instruction units *)
+  peak_depth : int; (* deepest nesting of C calls *)
 }
 
 (* Which budget ran out. *)
@@ -749,11 +753,12 @@ let run ?(fuel = default_fuel) ?deadline_s ?(argv = []) ?(input = "")
       bctx = Builtins.create_ctx ~input mem; globals = Hashtbl.create 32;
       strings = Hashtbl.create 32; site_of_expr;
       profile = Profile.create prog; fuel; deadline; clock_tick; depth = 0;
-      slot_rules = Hashtbl.create 16 }
+      peak_depth = 0; slot_rules = Hashtbl.create 16 }
   in
   let finish code =
     { exit_code = code; stdout_text = Builtins.output g.bctx;
-      profile = g.profile; work = g.profile.Profile.work }
+      profile = g.profile; work = g.profile.Profile.work;
+      peak_depth = g.peak_depth }
   in
   match Cfg.find_fn prog "main" with
   | None -> Value.error "program has no main function"

@@ -478,70 +478,105 @@ let test_fuel_mid_block () =
     check_same_error (Printf.sprintf "fuel %d" fuel) ~fuel src
   done
 
-(* The deepest call in the suite is 27 frames and in 400 Genprog
-   programs 10; the limit sits far above both, and far below the
-   depth (about 6M frames) where either back end would overflow OCaml's
-   default 1 GiB stack. *)
-let test_call_depth_limit () =
-  Alcotest.(check bool) "limit above the suite's deepest call" true
-    (Eval.max_call_depth > 27);
-  check_same_error "runaway recursion"
-    ~expect:"call depth limit exceeded (100000 nested calls)"
-    "int f(int n) { return f(n + 1) + 1; }\nint main(void) { return f(0); }";
-  pin "recursion just under the limit" ~out:"99998\n"
-    {|int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }
-int main(void) { printf("%d\n", f(99998)); return 0; }|}
-
 (* ------------------------------------------------------------------ *)
 (* Profile pin: one MD5 over every observable of every suite run and a
    fixed [Corpus.Genprog] sample on the Compiled back end — exit code,
    stdout and the %.17g [Profile.save] text (or the stop or diagnostic a
    run ends with). Interpreter speed work must leave it unchanged. *)
 
+(* The pinned programs, as [(name, source, fuel, runs)]: the suite, then
+   40 [Genprog] programs under the corpus fuel. *)
+let pinned_programs () =
+  let suite =
+    List.map
+      (fun (p : Suite.Bench_prog.t) ->
+        ( p.Suite.Bench_prog.name,
+          p.Suite.Bench_prog.source,
+          None,
+          List.map
+            (fun (r : Suite.Bench_prog.run) ->
+              (r.Suite.Bench_prog.r_argv, r.Suite.Bench_prog.r_input))
+            p.Suite.Bench_prog.runs ))
+      Suite.Registry.all
+  in
+  let classes = Array.of_list Corpus.Shape.all_classes in
+  let sample =
+    List.init 40 (fun k ->
+        let cls = classes.(k mod Array.length classes) in
+        let index = k / Array.length classes in
+        let size =
+          if index mod 2 = 0 then Corpus.Shape.medium else Corpus.Shape.large
+        in
+        ( Corpus.Genprog.name cls index,
+          Corpus.Genprog.generate ~seed:1 ~cls ~size ~index,
+          Some Driver.Corpus_eval.corpus_fuel,
+          Corpus.Genprog.runs ))
+  in
+  suite @ sample
+
 let profile_digest () =
   let buf = Buffer.create (1 lsl 20) in
-  let add_runs ?fuel name source runs =
-    let c = Pipeline.compile ~name source in
-    List.iteri
-      (fun i (argv, input) ->
-        Printf.bprintf buf "%s/%d " name i;
-        (match run_with Pipeline.Compiled ?fuel ~argv ~input c with
-        | o ->
-          Printf.bprintf buf "exit %d\n%s\n%s" o.Eval.exit_code
-            o.Eval.stdout_text (Profile.save o.Eval.profile)
-        | exception Value.Runtime_error m -> Printf.bprintf buf "error %s" m
-        | exception Eval.Budget_exhausted (stop, o) ->
-          Printf.bprintf buf "budget %s\n%s\n%s"
-            (Eval.budget_stop_to_string stop)
-            o.Eval.stdout_text (Profile.save o.Eval.profile));
-        Buffer.add_char buf '\n')
-      runs
-  in
   List.iter
-    (fun (p : Suite.Bench_prog.t) ->
-      add_runs p.Suite.Bench_prog.name p.Suite.Bench_prog.source
-        (List.map
-           (fun (r : Suite.Bench_prog.run) ->
-             (r.Suite.Bench_prog.r_argv, r.Suite.Bench_prog.r_input))
-           p.Suite.Bench_prog.runs))
-    Suite.Registry.all;
-  let classes = Array.of_list Corpus.Shape.all_classes in
-  for k = 0 to 39 do
-    let cls = classes.(k mod Array.length classes) in
-    let index = k / Array.length classes in
-    let size =
-      if index mod 2 = 0 then Corpus.Shape.medium else Corpus.Shape.large
-    in
-    add_runs ~fuel:Driver.Corpus_eval.corpus_fuel
-      (Corpus.Genprog.name cls index)
-      (Corpus.Genprog.generate ~seed:1 ~cls ~size ~index)
-      Corpus.Genprog.runs
-  done;
+    (fun (name, source, fuel, runs) ->
+      let c = Pipeline.compile ~name source in
+      List.iteri
+        (fun i (argv, input) ->
+          Printf.bprintf buf "%s/%d " name i;
+          (match run_with Pipeline.Compiled ?fuel ~argv ~input c with
+          | o ->
+            Printf.bprintf buf "exit %d\n%s\n%s" o.Eval.exit_code
+              o.Eval.stdout_text (Profile.save o.Eval.profile)
+          | exception Value.Runtime_error m -> Printf.bprintf buf "error %s" m
+          | exception Eval.Budget_exhausted (stop, o) ->
+            Printf.bprintf buf "budget %s\n%s\n%s"
+              (Eval.budget_stop_to_string stop)
+              o.Eval.stdout_text (Profile.save o.Eval.profile));
+          Buffer.add_char buf '\n')
+        runs)
+    (pinned_programs ());
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_profile_pin () =
   Alcotest.(check string)
     "profile digest" "b5fd775460c834eb9c199d6bd75c6353" (profile_digest ())
+
+(* The limit must sit above the deepest call the pinned programs make,
+   measured here, and far below the depth (about 6M frames) where either
+   back end would overflow OCaml's default 1 GiB stack. *)
+let test_call_depth_limit () =
+  let too_deep = "call depth limit exceeded (100000 nested calls)" in
+  let deepest =
+    List.fold_left
+      (fun d (name, source, fuel, runs) ->
+        let c = Pipeline.compile ~name source in
+        List.fold_left
+          (fun d (argv, input) ->
+            match run_with Pipeline.Compiled ?fuel ~argv ~input c with
+            | o -> max d o.Eval.peak_depth
+            | exception Eval.Budget_exhausted (_, o) -> max d o.Eval.peak_depth
+            | exception Value.Runtime_error m when m = too_deep ->
+              Eval.max_call_depth
+            | exception Value.Runtime_error _ -> d)
+          d runs)
+      0 (pinned_programs ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "deepest pinned call (%d frames) under the limit" deepest)
+    true
+    (deepest > 0 && deepest < Eval.max_call_depth);
+  check_same_error "runaway recursion" ~expect:too_deep
+    "int f(int n) { return f(n + 1) + 1; }\nint main(void) { return f(0); }";
+  let at_limit =
+    {|int f(int n) { if (n == 0) return 0; return f(n - 1) + 1; }
+int main(void) { printf("%d\n", f(99998)); return 0; }|}
+  in
+  pin "recursion just under the limit" ~out:"99998\n" at_limit;
+  let c = compile at_limit in
+  List.iter
+    (fun backend ->
+      Alcotest.(check int) "peak depth at the limit" Eval.max_call_depth
+        (run_with backend c).Eval.peak_depth)
+    [ Pipeline.Tree; Pipeline.Compiled ]
 
 let suite =
   [ Alcotest.test_case "suite-wide profile bit-identity" `Slow
@@ -563,5 +598,5 @@ let suite =
       test_short_circuit_conditions;
     Alcotest.test_case "switch tables" `Quick test_switch_tables;
     Alcotest.test_case "fuel exhaustion mid-block" `Quick test_fuel_mid_block;
-    Alcotest.test_case "call depth limit" `Quick test_call_depth_limit;
+    Alcotest.test_case "call depth limit" `Slow test_call_depth_limit;
     QCheck_alcotest.to_alcotest prop_backends_identical ]
