@@ -72,7 +72,7 @@ type state = {
   profile : Profile.t;
   mutable fuel : int;
   mutable depth : int;                  (* active C calls *)
-  mutable peak_depth : int;
+  mutable peak_depth : int;             (* the most [depth] has been *)
   deadline : float; (* absolute gettimeofday seconds; [infinity] = none *)
   mutable clock_tick : int; (* blocks until the next wall-clock read *)
 }
@@ -160,7 +160,8 @@ let coerce_int (ty : Ctypes.ty) (v : Value.value) : int =
   Value.int_of (Eval.coerce ty v)
 
 (* Fresh frame arrays. Small ones are built inline: [Array.make] is a C
-   call. *)
+   call, and without these p50 of a suite pass rose 12%
+   (EXPERIMENTS.md, "One path per choice"). *)
 let make_ints = function
   | 0 -> [||]
   | 1 -> [| 0 |]

@@ -287,9 +287,10 @@ int main(void) { printf("%d\n", fib(15)); return fib(10); }|}
 
 (* ------------------------------------------------------------------ *)
 (* The unboxed paths: int and char slots held as OCaml ints, operators
-   on sure ints, fused [a[i]] loads and stores, switch dispatch (first
-   duplicate case wins) and the derived work count. Each pin compares every observable with
-   the tree walker and fixes the expected output. *)
+   on sure ints, fused [a[i]] loads and stores, switch dispatch (the
+   first duplicate case wins) and the derived work count. Each pin
+   compares every observable with the tree walker and fixes the expected
+   output. *)
 
 let pin name ~out src =
   let c = compile src in
