@@ -30,12 +30,15 @@ let read_file path =
   close_in ic;
   s
 
+exception No_function of string
+
 (* The file commands' one fault handler. A front-end error in FILE, a
-   run-time error or budget stop while interpreting it, or a malformed
-   saved profile prints "FILE:LINE:COL: message" on stderr ("FILE:
-   message" when there is no source position), is recorded under
-   [record]'s fault stages, and exits with [record]'s degraded code. Any
-   other exception is a bug and escapes. *)
+   run-time error or budget stop while interpreting it, a [--function]
+   that FILE does not define, or a malformed saved profile prints
+   "FILE:LINE:COL: message" on stderr ("FILE: message" when there is no
+   source position), is recorded under [record]'s fault stages, and
+   exits with [record]'s degraded code. Any other exception is a bug and
+   escapes. *)
 let file_fault path (e : exn) : 'a =
   let bt = Printexc.get_raw_backtrace () in
   let stage, pos, msg =
@@ -50,6 +53,7 @@ let file_fault path (e : exn) : 'a =
     | Cfront.Preproc.Error (m, line) ->
       (Driver.Fault.Compile, Printf.sprintf "%d:" line, m)
     | Cfront.Ctypes.Type_error m -> (Driver.Fault.Compile, "", m)
+    | No_function name -> (Driver.Fault.Compile, "", "no such function " ^ name)
     | Cinterp.Value.Runtime_error m | Cinterp.Profile.Parse_error m ->
       (Driver.Fault.Profile, "", m)
     | Cinterp.Eval.Budget_exhausted (stop, o) ->
@@ -181,12 +185,12 @@ let inter_arg =
        & info [ "i"; "inter" ] ~docv:"KIND"
            ~doc:"Inter-procedural model: call_site, direct, all_rec, all_rec2, markov.")
 
-let selected_fns c = function
+let selected_fns path c = function
   | None -> c.Pipeline.prog.Cfg.prog_fns
   | Some name -> (
     match Cfg.find_fn c.Pipeline.prog name with
     | Some fn -> [ fn ]
-    | None -> failwith ("no such function: " ^ name))
+    | None -> file_fault path (No_function name))
 
 (* ---- parse ---- *)
 
@@ -231,7 +235,7 @@ let cmd_cfg =
                         (List.map (Printf.sprintf "B%d") succs)))
             fn.Cfg.fn_blocks
         end)
-      (selected_fns c fn_name)
+      (selected_fns path c fn_name)
   in
   let dot =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit graphviz format.")
@@ -252,7 +256,7 @@ let cmd_estimate =
         Array.iteri
           (fun i v -> Printf.printf "  B%-3d %8.3f\n" i v)
           (intra fn.Cfg.fn_name))
-      (selected_fns c fn_name)
+      (selected_fns path c fn_name)
   in
   Cmd.v
     (Cmd.info "estimate" ~doc:"Intra-procedural block frequency estimates")
@@ -457,15 +461,17 @@ let cmd_experiment =
             (fun (i, title, _) -> Printf.printf "  %-8s %s\n" i title)
             Driver.Experiments.all
         | Some "all" -> print_string (Driver.Experiments.run_all ())
-        | Some id -> (
-          match Driver.Experiments.find id with
-          | Some f -> print_string (f ())
-          | None -> failwith ("unknown experiment " ^ id)));
+        | Some id ->
+          Option.iter
+            (fun f -> print_string (f ()))
+            (Driver.Experiments.find id));
     finish_with_fault_status ()
   in
   let id =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
-           ~doc:"Experiment id (table1, fig2, ... or 'all').")
+    let ids = "all" :: List.map (fun (i, _, _) -> i) Driver.Experiments.all in
+    Arg.(value
+         & pos 0 (some (enum (List.map (fun i -> (i, i)) ids))) None
+         & info [] ~docv:"ID" ~doc:"Experiment id (table1, fig2, ... or 'all').")
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures")
@@ -476,13 +482,12 @@ let cmd_experiment =
 
 let cmd_record =
   let run jobs () () out =
+    let oc = Driver.Fault.at_path out (fun () -> open_out_bin out) in
     Driver.Parallel.set_jobs jobs;
     Driver.Score.reset ();
-    Driver.Trace.enable ();
+    Obs.Probe.set_enabled true;
     (* The record wants the scores and timings, not the rendered text. *)
-    let (_ : string) =
-      Driver.Trace.with_span "run" Driver.Experiments.run_all
-    in
+    let (_ : string) = Obs.Probe.with_span "run" Driver.Experiments.run_all in
     let meta =
       [ ("jobs", string_of_int jobs);
         ("chaos_seed",
@@ -492,7 +497,8 @@ let cmd_record =
         ("solver", solver_mode_string ()) ]
     in
     let record = Driver.Run_record.collect ~meta () in
-    Driver.Run_record.write_file out record;
+    output_string oc (Driver.Run_record.encode record);
+    close_out oc;
     Printf.eprintf "[run record: %d scores, %d degraded -> %s]\n"
       (List.length record.Driver.Run_record.r_scores)
       (List.length record.Driver.Run_record.r_degraded)
@@ -512,20 +518,10 @@ let cmd_record =
 (* ---- corpus: seeded shaped-program generation + estimator sweep ---- *)
 
 let cmd_corpus =
-  let run jobs () () seed per_class size classes_opt out =
+  let run jobs () () seed per_class size classes out =
+    let oc = Driver.Fault.at_path out (fun () -> open_out_bin out) in
     Driver.Parallel.set_jobs jobs;
     Driver.Score.reset ();
-    let classes =
-      match classes_opt with
-      | None -> Corpus.Shape.all_classes
-      | Some s ->
-        List.map
-          (fun name ->
-            match Corpus.Shape.class_of_string (String.trim name) with
-            | Some c -> c
-            | None -> failwith ("unknown workload class " ^ name))
-          (String.split_on_char ',' s)
-    in
     let spec =
       { Driver.Corpus_eval.c_seed = seed; c_per_class = per_class;
         c_size = size; c_classes = classes }
@@ -551,7 +547,8 @@ let cmd_corpus =
       Driver.Run_record.collect
         ~degraded:r.Driver.Corpus_eval.o_degraded ~meta ()
     in
-    Driver.Run_record.write_file out record;
+    output_string oc (Driver.Run_record.encode record);
+    close_out oc;
     Printf.eprintf
       "[corpus record: %d scores, %d programs, %d degraded, %d divergent \
        -> %s]\n"
@@ -579,9 +576,16 @@ let cmd_corpus =
                    (functions, statements, loop depth, call fanout).")
   in
   let classes =
-    Arg.(value & opt (some string) None & info [ "classes" ] ~docv:"LIST"
-           ~doc:"Comma-separated workload classes (default: all of \
-                 loop_nest, branchy, pointer_table, recursive).")
+    let names =
+      List.map
+        (fun c -> (Corpus.Shape.class_to_string c, c))
+        Corpus.Shape.all_classes
+    in
+    Arg.(value
+         & opt (list (enum names)) Corpus.Shape.all_classes
+         & info [ "classes" ] ~docv:"LIST"
+             ~doc:"Comma-separated workload classes (default: all of \
+                   loop_nest, branchy, pointer_table, recursive).")
   in
   let out =
     Arg.(value & opt string "corpus_record.json" & info [ "o"; "out" ]

@@ -21,13 +21,6 @@ let class_to_string = function
   | Pointer_table -> "pointer_table"
   | Recursive -> "recursive"
 
-let class_of_string = function
-  | "loop_nest" -> Some Loop_nest
-  | "branchy" -> Some Branchy
-  | "pointer_table" -> Some Pointer_table
-  | "recursive" -> Some Recursive
-  | _ -> None
-
 let class_description = function
   | Loop_nest -> "nested numeric loops over double arrays (alvinn_mini axis)"
   | Branchy -> "loop-free integer classifiers with rare error paths"

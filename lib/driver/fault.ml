@@ -156,6 +156,15 @@ let capture ~(stage : stage) ~(subject : string) ?detail
 let degraded_exit_code = 3
 let exit_code () = if count () > 0 then degraded_exit_code else 0
 
+let at_path (path : string) (f : unit -> 'a) : 'a =
+  try f () with
+  | Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "%s: %s\n%!" path (Unix.error_message e);
+    exit 2
+  | Sys_error msg ->
+    prerr_endline msg;
+    exit 2
+
 let summary () : string =
   match sorted () with
   | [] -> ""

@@ -113,6 +113,13 @@ val degraded_exit_code : int
 val exit_code : unit -> int
 (** [0] when no fault was recorded, {!degraded_exit_code} otherwise. *)
 
+val at_path : string -> (unit -> 'a) -> 'a
+(** [at_path path f] runs [f], the startup I/O on a path the user gave
+    (an output file, a store directory, a socket). A [Unix.Unix_error]
+    or [Sys_error] there is a usage error, not a fault: it prints
+    ["PATH: message"] on stderr ([Sys_error]'s own text, which names its
+    file) and exits 2. *)
+
 val summary : unit -> string
 (** Human-readable fault listing; [""] when the run was healthy (so
     healthy output stays byte-identical). *)

@@ -108,20 +108,12 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-(* The ["incr.bytes"] gauge tracks [total_bytes] through *every*
-   mutation — insert, evict, invalidate, clear, budget resize and
-   restore-from-disk — so a probe reader always sees the store's
-   current footprint, not just its insert-path history. Call with
-   [lock] held, after [total_bytes] settles. *)
-let publish_bytes () =
-  Obs.Probe.set_gauge "incr.bytes" (float_of_int !total_bytes)
-
-(* Re-publish gauge levels from current state. [Probe.reset] wipes the
-   gauge table, so a daemon that resets probes per batch would report a
-   missing ["incr.bytes"] until the next store mutation — even though
-   the store still holds (say) everything restored at [open_store].
-   Serve calls this after each per-batch reset. *)
-let republish_gauges () : unit = locked publish_bytes
+(* The ["incr.bytes"] gauge is pulled: read at snapshot time, so it is
+   the store's current footprint whatever mutated it last and whatever
+   reset the probe tables since. *)
+let () =
+  Obs.Probe.pull_gauge "incr.bytes" (fun () ->
+      float_of_int (locked (fun () -> !total_bytes)))
 
 (* Approximate heap footprint of a payload, in bytes. Intra arrays are
    exact up to headers; compiled programs and profiles are estimated
@@ -264,8 +256,7 @@ let set_budget (n : int) : unit =
   locked (fun () ->
       budget := max 0 n;
       (* A shrink takes effect immediately, not at the next insert. *)
-      evict_to_budget ();
-      publish_bytes ())
+      evict_to_budget ())
 
 (* Drop every entry. Call with [lock] held. *)
 let reset_table () : unit =
@@ -275,10 +266,7 @@ let reset_table () : unit =
   sentinel.next <- sentinel;
   total_bytes := 0
 
-let clear () : unit =
-  locked (fun () ->
-      reset_table ();
-      publish_bytes ())
+let clear () : unit = locked reset_table
 
 (* Journal an [Intra] insert to the attached store and snapshot when
    the journal has grown past its threshold. A persistence failure
@@ -321,8 +309,7 @@ let add (key : string) (payload : payload) : unit =
   locked (fun () ->
       insert key payload;
       persist_insert key payload;
-      evict_to_budget ~keep:key ();
-      publish_bytes ())
+      evict_to_budget ~keep:key ())
 
 (* ------------------------------------------------------------------ *)
 (* Keys. *)
@@ -419,7 +406,6 @@ let open_store ?snapshot_threshold (dir : string) : restore =
       List.iter (fun (key, values) -> insert key (Intra values)) entries;
       restored := List.length entries;
       evict_to_budget ();
-      publish_bytes ();
       Obs.Probe.set_gauge "incr.restored" (float_of_int !restored);
       { rs_restored = !restored; rs_truncated = truncated })
 
@@ -459,8 +445,7 @@ let crash_store () : unit =
       (match !persist with Some p -> Persist.close p | None -> ());
       persist := None;
       reset_table ();
-      restored := 0;
-      publish_bytes ())
+      restored := 0)
 
 (* ------------------------------------------------------------------ *)
 (* Name index (see [names]). A key that is no longer resident is not
@@ -480,7 +465,6 @@ let invalidate ~(name : string) : int =
   locked (fun () ->
       let ks = Option.value ~default:[] (Hashtbl.find_opt names name) in
       List.iter (fun k -> remove (Hashtbl.find table k)) ks;
-      publish_bytes ();
       List.length ks)
 
 (* ------------------------------------------------------------------ *)

@@ -28,61 +28,69 @@ type tree = {
   t_kids : tree list;
 }
 
-(* Group a list of sibling spans by label (first-appearance order),
-   merging each group into one node whose kids are the merged kids of
-   the whole group — the same aggregation [Trace] renders, rebuilt
-   here over raw spans so it also works on trees parsed from JSON. *)
-let rec nodes_of_spans (children : (int, Probe.span list) Hashtbl.t)
-    (sibs : Probe.span list) : tree list =
-  let order : string list ref = ref [] in
-  let groups : (string, Probe.span list) Hashtbl.t = Hashtbl.create 8 in
+(* The one span-tree builder, for [--trace], the metrics document, the
+   run record's timings and the slow log. [children] maps a span id to
+   its kids; siblings with the same label merge into one node (label
+   order is first-seen span id), and a merged node's kids are re-sorted
+   by span id, so the tree depends only on execution structure, never
+   on which domain finished first. *)
+let children_of (spans : Probe.span list) : (int, Probe.span list) Hashtbl.t =
+  let children = Hashtbl.create 256 in
   List.iter
     (fun (s : Probe.span) ->
-      (match Hashtbl.find_opt groups s.Probe.label with
-      | None -> order := s.Probe.label :: !order
-      | Some _ -> ());
-      Hashtbl.replace groups s.Probe.label
-        (s :: (try Hashtbl.find groups s.Probe.label with Not_found -> [])))
-    sibs;
+      Hashtbl.replace children s.Probe.parent
+        (s :: Option.value ~default:[] (Hashtbl.find_opt children s.Probe.parent)))
+    (List.rev spans);
+  children
+
+let rec merge children (sibs : Probe.span list) : tree list =
+  let groups : (string, Probe.span list) Hashtbl.t = Hashtbl.create 8 in
+  let order =
+    List.fold_left
+      (fun order (s : Probe.span) ->
+        let group = Hashtbl.find_opt groups s.Probe.label in
+        Hashtbl.replace groups s.Probe.label
+          (s :: Option.value ~default:[] group);
+        if group = None then s.Probe.label :: order else order)
+      [] sibs
+  in
   List.rev_map
     (fun label ->
-      let members = List.rev (Hashtbl.find groups label) in
-      let ns =
-        List.fold_left
-          (fun acc (s : Probe.span) ->
-            Int64.add acc (Int64.sub s.Probe.stop_ns s.Probe.start_ns))
-          0L members
-      in
+      let members = Hashtbl.find groups label in
       let kids =
         List.concat_map
           (fun (s : Probe.span) ->
-            List.rev
-              (try Hashtbl.find children s.Probe.id with Not_found -> []))
+            Option.value ~default:[] (Hashtbl.find_opt children s.Probe.id))
           members
       in
       { t_label = label;
         t_count = List.length members;
-        t_ns = ns;
-        t_kids = nodes_of_spans children kids })
-    !order
+        t_ns =
+          List.fold_left
+            (fun acc (s : Probe.span) ->
+              Int64.add acc (Int64.sub s.Probe.stop_ns s.Probe.start_ns))
+            0L members;
+        t_kids =
+          merge children
+            (List.sort (fun a b -> compare a.Probe.id b.Probe.id) kids) })
+    order
+
+(* One root for every span whose parent is not in the dump: a root span,
+   or one whose parent never closed (or crossed a domain without
+   [Probe.with_parent]). [spans] is id-sorted, as [Probe.spans] is. *)
+let forest (spans : Probe.span list) : tree list =
+  let ids = Hashtbl.create 256 in
+  List.iter (fun (s : Probe.span) -> Hashtbl.replace ids s.Probe.id ()) spans;
+  merge (children_of spans)
+    (List.filter (fun (s : Probe.span) -> not (Hashtbl.mem ids s.Probe.parent))
+       spans)
 
 (* The subtree rooted at span [root] within a full span dump. O(spans)
    per call — callers extract after the batch, once per request root,
    sharing one [Probe.spans ()] dump. *)
 let tree_of_root (root : int) (spans : Probe.span list) : tree option =
-  match List.find_opt (fun (s : Probe.span) -> s.Probe.id = root) spans with
-  | None -> None
-  | Some root_span ->
-    let children : (int, Probe.span list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (s : Probe.span) ->
-        Hashtbl.replace children s.Probe.parent
-          (s
-          :: (try Hashtbl.find children s.Probe.parent with Not_found -> [])))
-      spans;
-    match nodes_of_spans children [ root_span ] with
-    | [ t ] -> Some t
-    | _ -> None
+  List.find_opt (fun (s : Probe.span) -> s.Probe.id = root) spans
+  |> Option.map (fun s -> List.hd (merge (children_of spans) [ s ]))
 
 (* [with_root f] runs [f] under a fresh "request" span and returns the
    span's id alongside the result, so the caller can extract the
@@ -101,6 +109,16 @@ let with_root (f : unit -> 'a) : 'a * int =
   end
 
 let ms_of_ns (ns : int64) : float = Int64.to_float ns /. 1e6
+
+(* Every node of a forest, depth first, each with its slash-joined
+   label path. *)
+let rec walk ?(prefix = "") (f : string -> tree -> unit) (ts : tree list) =
+  List.iter
+    (fun t ->
+      let path = if prefix = "" then t.t_label else prefix ^ "/" ^ t.t_label in
+      f path t;
+      walk ~prefix:path f t.t_kids)
+    ts
 
 let rec tree_to_json (t : tree) : Json.t =
   Json.Obj

@@ -38,33 +38,28 @@ let schema_version = 1
 (* ------------------------------------------------------------------ *)
 (* Collection *)
 
-(* Aggregate the probe spans into per-label totals, keeping only the
-   run-level labels (the root, context warming, one per experiment):
-   the record wants a coarse timing summary, not the solver's
-   micro-spans. *)
+(* Per-label totals over the span forest, keeping only the run-level
+   labels (the root, context warming, one per experiment): the record
+   wants a coarse timing summary, not the solver's micro-spans. *)
 let timing_summary () : timing list =
   let keep label =
     label = "run" || label = "context.warm"
-    || String.length label > 11 && String.sub label 0 11 = "experiment."
+    || String.starts_with ~prefix:"experiment." label
   in
-  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Obs.Probe.span) ->
-      if keep s.Obs.Probe.label then begin
-        let ms =
-          Int64.to_float (Int64.sub s.Obs.Probe.stop_ns s.Obs.Probe.start_ns)
-          /. 1e6
+  let tbl : (string, int * int64) Hashtbl.t = Hashtbl.create 32 in
+  Reqtrace.walk
+    (fun _ (t : Reqtrace.tree) ->
+      if keep t.t_label then begin
+        let n, ns =
+          Option.value ~default:(0, 0L) (Hashtbl.find_opt tbl t.t_label)
         in
-        let n, total =
-          Option.value ~default:(0, 0.0)
-            (Hashtbl.find_opt tbl s.Obs.Probe.label)
-        in
-        Hashtbl.replace tbl s.Obs.Probe.label (n + 1, total +. ms)
+        Hashtbl.replace tbl t.t_label (n + t.t_count, Int64.add ns t.t_ns)
       end)
-    (Obs.Probe.spans ());
+    (Reqtrace.forest (Obs.Probe.spans ()));
   Hashtbl.fold
-    (fun label (n, total) acc ->
-      { t_label = label; t_count = n; t_total_ms = total } :: acc)
+    (fun label (n, ns) acc ->
+      { t_label = label; t_count = n; t_total_ms = Reqtrace.ms_of_ns ns }
+      :: acc)
     tbl []
   |> List.sort (fun a b -> compare a.t_label b.t_label)
 
@@ -258,8 +253,3 @@ let read_file (path : string) : (t, string) result =
     Result.map_error
       (fun e -> Printf.sprintf "%s: %s" path e)
       (decode contents)
-
-let write_file (path : string) (r : t) : unit =
-  let oc = open_out_bin path in
-  output_string oc (encode r);
-  close_out oc

@@ -202,7 +202,7 @@ let deadline_response (id : Json.t) ~(name : string) (seconds : float) :
    slow-request log. Schema versioned like the run-record schema; bump
    on any shape change. This is one process's part — what a worker
    answers to [metrics]; the parent merges its own with its shards'
-   ([merge_parts]). *)
+   ([assemble]). *)
 
 let metrics_schema_version = 2
 
@@ -223,6 +223,23 @@ let metrics_payload () : (string * Json.t) list =
         ("recent", Json.Arr (List.map Reqtrace.slow_entry_to_json recent)) ]
   in
   Trace.snapshot () @ [ ("slow", slow) ]
+
+(* One store's [stats] part: what a worker answers to [stats]. The
+   parent adds its own fields ([assemble]). *)
+let store_part () : (string * Json.t) list =
+  let st = Incr.stats () in
+  let num i = Json.Num (float_of_int i) in
+  [ ("entries", num st.Incr.st_entries);
+    ("bytes", num st.Incr.st_bytes);
+    ("budget", num st.Incr.st_budget);
+    ("hits", num st.Incr.st_hits);
+    ("misses", num st.Incr.st_misses);
+    ("evictions", num st.Incr.st_evictions);
+    ("bypasses", num st.Incr.st_bypasses);
+    ("restored", num st.Incr.st_restored);
+    ("journal_entries", num st.Incr.st_journal_entries);
+    ("snapshots", num st.Incr.st_snapshots);
+    ("persisted", Json.Bool st.Incr.st_persisted) ]
 
 (* ------------------------------------------------------------------ *)
 (* The per-request handler: every dispatcher runs it — on pool domains
@@ -330,30 +347,7 @@ let verb (rq : request) : Json.t =
       Incr.clear ();
       with_last_scores Hashtbl.reset;
       ok_response rq.rq_id [ ("cleared", Json.Bool true) ])
-  | "stats" ->
-    let st = Incr.stats () in
-    let num i = Json.Num (float_of_int i) in
-    ok_response rq.rq_id
-      [ ("entries", num st.Incr.st_entries);
-        ("bytes", num st.Incr.st_bytes);
-        ("budget", num st.Incr.st_budget);
-        ("hits", num st.Incr.st_hits);
-        ("misses", num st.Incr.st_misses);
-        ("evictions", num st.Incr.st_evictions);
-        ("bypasses", num st.Incr.st_bypasses);
-        ("restored", num st.Incr.st_restored);
-        ("journal_entries", num st.Incr.st_journal_entries);
-        ("snapshots", num st.Incr.st_snapshots);
-        ("persisted", Json.Bool st.Incr.st_persisted);
-        ("jobs", num (Parallel.jobs ()));
-        ("pool_size",
-         match Parallel.pool_size () with
-         | None -> Json.Null
-         | Some s -> num s);
-        ("faults", num (Fault.count ()));
-        (* Re-read per request — a long-running daemon must report the
-           repository's rev as it is *now*, not at startup. *)
-        ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
+  | "stats" -> ok_response rq.rq_id (store_part ())
   | "metrics" -> ok_response rq.rq_id (metrics_payload ())
   | op -> plain_error rq.rq_id (Printf.sprintf "unknown op %S" op)
 
@@ -373,14 +367,11 @@ let answer ?(deadline_s : float option) ~(traced : bool) (rq : request) :
 
 (* Where every batch ends — after each batch of the serve loop, and
    after each request in a worker, whose whole batch it is: the fault
-   log resets (the responses already carry the detail), the store
-   gauges are re-published (a [metrics] call in the next batch must
-   never see them missing because something reset the probe tables),
-   and the span buffers are dropped, so a long-running daemon's memory
-   stays bounded. Counters and histograms accumulate for [metrics]. *)
+   log resets (the responses already carry the detail) and the span
+   buffers are dropped, so a long-running daemon's memory stays
+   bounded. Counters, gauges and histograms accumulate for [metrics]. *)
 let end_batch () : unit =
   Fault.reset ();
-  Incr.republish_gauges ();
   if Obs.Probe.enabled () then Obs.Probe.reset_spans ()
 
 (* The worker side of [--workers]: one request line in, one response
@@ -612,55 +603,62 @@ let shard_parts (replies : (int * Supervise.outcome) list) :
       | Supervise.Deadline _ | Supervise.Lost _ -> None)
     replies
 
-(* [stats] across every shard: the parent opens no store, so only the
-   shards' parts merge. The pool fields are the parent's, and so is
-   [faults] — a worker's faults reach it through ["__faults"], so a
-   worker's own [stats] reply says 0. *)
-let sharded_stats (pool : Supervise.t)
-    (replies : (int * Supervise.outcome) list) : (string * Json.t) list =
+(* The parent's answer to [stats] and [metrics], in-process and
+   sharded alike: the parts merged, then the parent's own fields. A
+   [metrics] part is one process's probe tables and slow log; the
+   parent's part merges with the shards'. A [stats] part is one store:
+   in-process the parent's, sharded only the shards' — the parent opens
+   no store, and its empty one would still add its budget. [faults] is
+   the parent's count, since a worker's faults reach it through
+   ["__faults"]. *)
+let assemble (dispatcher : dispatcher) (rq : request) :
+    (string * Json.t) list =
   let num i = Json.Num (float_of_int i) in
-  let own =
-    [ ("jobs", num (Supervise.size pool)); ("pool_size", Json.Null);
-      ("faults", num (Fault.count ()));
-      ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
-    @ supervision (Some pool)
+  let pool, shards =
+    match dispatcher with
+    | Local -> (None, [])
+    | Sharded p ->
+      ( Some p,
+        shard_parts (Supervise.broadcast p (Json.to_compact_string rq.rq_body))
+      )
   in
-  List.filter
-    (fun (k, _) -> not (List.mem_assoc k own))
-    (merge_parts (shard_parts replies))
-  @ own
+  (* Re-read per request — a long-running daemon must report the
+     repository's rev as it is *now*, not at startup. *)
+  let git_rev = ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) in
+  match (rq.rq_op, pool) with
+  | "stats", None ->
+    store_part ()
+    @ [ ("jobs", num (Parallel.jobs ()));
+        ("pool_size",
+         Option.fold ~none:Json.Null ~some:num (Parallel.pool_size ()));
+        ("faults", num (Fault.count ())); git_rev ]
+  | "stats", Some p ->
+    merge_parts shards
+    @ [ ("jobs", num (Supervise.size p)); ("pool_size", Json.Null);
+        ("faults", num (Fault.count ())); git_rev ]
+    @ supervision pool
+  | _ ->
+    let shard_rows =
+      List.map
+        (fun (ss : Supervise.shard_state) ->
+          Json.Obj
+            [ ("shard", num ss.Supervise.ss_shard);
+              ("alive", Json.Bool ss.Supervise.ss_alive);
+              ("crashes", num ss.Supervise.ss_crashes);
+              ("broken", Json.Bool ss.Supervise.ss_broken);
+              ("restarts", num ss.Supervise.ss_restarts) ])
+        (Option.fold ~none:[] ~some:Supervise.shard_states pool)
+    in
+    (("schema", num metrics_schema_version)
+    :: merge_parts ((-1, Json.Obj (metrics_payload ())) :: shards))
+    @ supervision pool
+    @ [ ("shards", Json.Arr shard_rows); git_rev ]
 
-(* [metrics] across the parent and every shard (none in-process). The
-   slow log lives in the parent: slow detection times the whole round
-   trip, and only the parent holds merged trees. *)
-let merged_metrics (pool : Supervise.t option)
-    (replies : (int * Supervise.outcome) list) : (string * Json.t) list =
-  let num i = Json.Num (float_of_int i) in
-  let shards =
-    List.map
-      (fun (ss : Supervise.shard_state) ->
-        Json.Obj
-          [ ("shard", num ss.Supervise.ss_shard);
-            ("alive", Json.Bool ss.Supervise.ss_alive);
-            ("crashes", num ss.Supervise.ss_crashes);
-            ("broken", Json.Bool ss.Supervise.ss_broken);
-            ("restarts", num ss.Supervise.ss_restarts) ])
-      (Option.fold ~none:[] ~some:Supervise.shard_states pool)
-  in
-  (("schema", num metrics_schema_version)
-  :: merge_parts ((-1, Json.Obj (metrics_payload ())) :: shard_parts replies))
-  @ supervision pool
-  @ [ ("shards", Json.Arr shards);
-      ("git_rev", Json.Str (Obs.Envmeta.git_rev ())) ]
-
-(* The verbs the parent owns. In-process, [stats] and a store-wide
-   [invalidate] are the local handler's; sharded, they and [metrics]
-   are broadcast to every shard and merged. *)
+(* The verbs the parent owns. [stats] and [metrics] are assembled here
+   in both modes; a store-wide [invalidate] is the local handler's
+   in-process and broadcast to every shard when sharded. *)
 let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
     Json.t =
-  let broadcast pool =
-    Supervise.broadcast pool (Json.to_compact_string rq.rq_body)
-  in
   match (rq.rq_op, dispatcher) with
   | "shutdown", _ ->
     stop := true;
@@ -676,13 +674,10 @@ let control (dispatcher : dispatcher) (stop : bool ref) (rq : request) :
       Parallel.set_jobs (int_of_float n);
       ok_response rq.rq_id
         [ ("jobs", Json.Num (float_of_int (Parallel.jobs ()))) ])
-  | "stats", Sharded pool ->
-    ok_response rq.rq_id (sharded_stats pool (broadcast pool))
-  | "metrics", Local -> ok_response rq.rq_id (merged_metrics None [])
-  | "metrics", Sharded pool ->
-    ok_response rq.rq_id (merged_metrics (Some pool) (broadcast pool))
+  | ("stats" | "metrics"), _ ->
+    ok_response rq.rq_id (assemble dispatcher rq)
   | "invalidate", Sharded pool ->
-    ignore (broadcast pool);
+    ignore (Supervise.broadcast pool (Json.to_compact_string rq.rq_body));
     ok_response rq.rq_id [ ("cleared", Json.Bool true) ]
   | _, (Local | Sharded _) -> verb rq
 
@@ -996,7 +991,8 @@ let run (config : config) : 'a =
          cannot start a sharded server; [Supervise.start] will raise,
          loudly, rather than limp. *)
       (match config.c_store with
-      | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+      | Some dir when not (Sys.file_exists dir) ->
+        Fault.at_path dir (fun () -> Unix.mkdir dir 0o755)
       | _ -> ());
       let pool =
         Supervise.start ~workers:config.c_workers
@@ -1019,7 +1015,7 @@ let run (config : config) : 'a =
       (match config.c_store with
       | None -> ()
       | Some dir ->
-        let r = Incr.open_store dir in
+        let r = Fault.at_path dir (fun () -> Incr.open_store dir) in
         if r.Incr.rs_truncated then
           prerr_endline
             "serve: store tail truncated on load (torn or corrupt entry)";
@@ -1034,7 +1030,11 @@ let run (config : config) : 'a =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> drain := true));
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listener = Option.map Transport.listen_unix config.c_socket in
+  let listener =
+    Option.map
+      (fun p -> Fault.at_path p (fun () -> Transport.listen_unix p))
+      config.c_socket
+  in
   loop ?deadline_s:config.c_deadline_s ~dispatcher
     ~queue_limit:config.c_queue_limit ~drain ~after_batch:note_faults
     ?listener
@@ -1062,7 +1062,7 @@ let run (config : config) : 'a =
    small scripted batches this is for — not a streaming proxy). *)
 
 let client ~(socket : string) : 'a =
-  let fd = Transport.connect_unix socket in
+  let fd = Fault.at_path socket (fun () -> Transport.connect_unix socket) in
   let sock_ic = Unix.in_channel_of_descr fd in
   let sock_oc = Unix.out_channel_of_descr fd in
   let expected = ref 0 in

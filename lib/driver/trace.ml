@@ -1,99 +1,23 @@
-(* Aggregation and reporting over the Obs.Probe recording layer. *)
+(* Reporting over the Obs.Probe recording layer; the span tree is
+   [Reqtrace.forest]. *)
 
 module Probe = Obs.Probe
 module Json = Obs.Json
 
-let enable () = Probe.set_enabled true
-let enabled = Probe.enabled
-let with_span = Probe.with_span
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic aggregation: the flat id-sorted span stream becomes a
-   tree of (label, count, total) nodes. Children are attached to their
-   recorded parent; spans whose parent never closed (or crossed a domain
-   without [with_parent]) surface as roots. Sibling spans with the same
-   label merge; label order within a level is first-seen id order, which
-   depends only on execution structure. *)
-
-type node = {
-  label : string;
-  mutable n_count : int;
-  mutable n_total_ns : int64;
-  mutable kids : Probe.span list; (* reversed; re-sorted on aggregation *)
-}
-
-let duration (s : Probe.span) = Int64.sub s.Probe.stop_ns s.Probe.start_ns
-
-let rec aggregate (spans : Probe.span list)
-    (children : (int, Probe.span list) Hashtbl.t) : node list =
-  (* [spans] arrives id-sorted; keep first-seen label order. *)
-  let order : string list ref = ref [] in
-  let by_label : (string, node) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Probe.span) ->
-      let node =
-        match Hashtbl.find_opt by_label s.Probe.label with
-        | Some n -> n
-        | None ->
-          let n =
-            { label = s.Probe.label; n_count = 0; n_total_ns = 0L; kids = [] }
-          in
-          Hashtbl.replace by_label s.Probe.label n;
-          order := s.Probe.label :: !order;
-          n
-      in
-      node.n_count <- node.n_count + 1;
-      node.n_total_ns <- Int64.add node.n_total_ns (duration s);
-      node.kids <-
-        Option.value ~default:[] (Hashtbl.find_opt children s.Probe.id)
-        @ node.kids)
-    spans;
-  List.rev_map (fun label -> Hashtbl.find by_label label) !order
-
-and resolve_kids children (n : node) : node list =
-  aggregate
-    (List.sort (fun a b -> compare a.Probe.id b.Probe.id) n.kids)
-    children
-
-(* The spans/children tables shared by both renderers. *)
-let span_tables () =
-  let spans = Probe.spans () in
-  let ids = Hashtbl.create 256 in
-  List.iter (fun (s : Probe.span) -> Hashtbl.replace ids s.Probe.id ()) spans;
-  let children : (int, Probe.span list) Hashtbl.t = Hashtbl.create 256 in
-  let roots =
-    List.filter
-      (fun (s : Probe.span) ->
-        if s.Probe.parent >= 0 && Hashtbl.mem ids s.Probe.parent then begin
-          Hashtbl.replace children s.Probe.parent
-            (s
-            :: Option.value ~default:[]
-                 (Hashtbl.find_opt children s.Probe.parent));
-          false
-        end
-        else true)
-      spans
-  in
-  (roots, children)
-
-let ms_of_ns ns = Int64.to_float ns /. 1e6
-
 let render_tree () : string =
-  let roots, children = span_tables () in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "trace: pipeline spans (count × total wall time)\n";
-  let rec render indent nodes =
+  let rec render indent trees =
     List.iter
-      (fun n ->
+      (fun (t : Reqtrace.tree) ->
         Buffer.add_string buf
           (Printf.sprintf "%s%-*s %6d× %10.3f ms\n" indent
              (max 1 (40 - String.length indent))
-             n.label n.n_count
-             (ms_of_ns n.n_total_ns));
-        render (indent ^ "  ") (resolve_kids children n))
-      nodes
+             t.t_label t.t_count (Reqtrace.ms_of_ns t.t_ns));
+        render (indent ^ "  ") t.t_kids)
+      trees
   in
-  render "  " (aggregate roots children);
+  render "  " (Reqtrace.forest (Probe.spans ()));
   let counters = Probe.counters () in
   if counters <> [] then begin
     Buffer.add_string buf "trace: counters\n";
@@ -129,18 +53,11 @@ let snapshot () : (string * Json.t) list =
     ("hists", obj Obs.Hist.summary_json (Obs.Hist.all ())) ]
 
 let metrics_json () : string =
-  let roots, children = span_tables () in
-  (* flatten the aggregate tree into slash-joined paths *)
-  let rows : (string * int * float) list ref = ref [] in
-  let rec walk prefix nodes =
-    List.iter
-      (fun n ->
-        let path = if prefix = "" then n.label else prefix ^ "/" ^ n.label in
-        rows := (path, n.n_count, ms_of_ns n.n_total_ns) :: !rows;
-        walk path (resolve_kids children n))
-      nodes
-  in
-  walk "" (aggregate roots children);
+  let rows = ref [] in
+  Reqtrace.walk
+    (fun path (t : Reqtrace.tree) ->
+      rows := (path, t.t_count, Reqtrace.ms_of_ns t.t_ns) :: !rows)
+    (Reqtrace.forest (Probe.spans ()));
   let span_json (path, count, total_ms) =
     Json.Obj
       [ ("path", Json.Str path); ("count", Json.Num (float_of_int count));
@@ -161,7 +78,7 @@ let metrics_json () : string =
 
 let with_reporting ~(trace : bool) ~(metrics_out : string option) f =
   let wanted = trace || metrics_out <> None in
-  if wanted then enable ();
+  if wanted then Probe.set_enabled true;
   let report () =
     if wanted then begin
       if trace then prerr_string (render_tree ());
@@ -174,4 +91,4 @@ let with_reporting ~(trace : bool) ~(metrics_out : string option) f =
       | None -> ()
     end
   in
-  Fun.protect ~finally:report (fun () -> with_span "run" f)
+  Fun.protect ~finally:report (fun () -> Probe.with_span "run" f)

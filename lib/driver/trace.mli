@@ -1,29 +1,22 @@
 (** Structured tracing and metrics for the estimator pipeline.
 
     The recording layer is {!Obs.Probe} (spans + counters, recorded
-    per-domain, merged by span id); this module is the user-facing
-    subsystem: it aggregates the recorded stream into a deterministic
-    tree, renders it for humans ([--trace]) and exports it as JSON
+    per-domain, merged by span id) and the span tree is
+    {!Reqtrace.forest}; this module is the user-facing subsystem: it
+    renders that tree for humans ([--trace]) and exports it as JSON
     ([--metrics-out FILE]) on [bin/main.exe].
 
     Tracing is purely observational: it never touches the analysis
     results, so the differential harness's byte-identity across [--jobs]
     settings holds with tracing on or off. *)
 
-val enable : unit -> unit
-(** Turn probe recording on (idempotent). *)
-
-val enabled : unit -> bool
-
-val with_span : string -> (unit -> 'a) -> 'a
-(** Re-export of {!Obs.Probe.with_span} for driver-level code. *)
-
 val render_tree : unit -> string
-(** The recorded spans as a human-readable tree: spans are merged by
-    span id (never completion order), grouped by label under their
-    parent, and reported as [count × total-time]. Counters (one number
-    each) and gauges follow, sorted by name; then the fault summary
-    ({!Fault.summary}), present only when the run degraded somewhere. *)
+(** The recorded spans as a human-readable tree ({!Reqtrace.forest}:
+    same-label siblings merged, in first-seen span id order, never
+    completion order), each node reported as [count × total-time].
+    Counters (one number each) and gauges follow, sorted by name; then
+    the fault summary ({!Fault.summary}), present only when the run
+    degraded somewhere. *)
 
 val snapshot : unit -> (string * Obs.Json.t) list
 (** This process's probe tables as three objects, each sorted by name:

@@ -111,24 +111,33 @@ let counters () : (string * int) list =
 let gauge_lock = Mutex.create ()
 let gauge_table : (string, float) Hashtbl.t = Hashtbl.create 16
 
-let set_gauge name v =
-  if enabled () then begin
-    Mutex.lock gauge_lock;
-    Hashtbl.replace gauge_table name v;
-    Mutex.unlock gauge_lock
-  end
+(* Pulled gauges: one reader per name, called at snapshot time and kept
+   across [reset]. They run outside [gauge_lock], so a reader may take
+   its owner's lock even where that owner pushes a gauge under it. *)
+let readers : (string * (unit -> float)) list ref = ref []
 
-let gauge name =
-  Mutex.lock gauge_lock;
-  let v = Hashtbl.find_opt gauge_table name in
-  Mutex.unlock gauge_lock;
-  v
+let set_gauge name v =
+  if enabled () then
+    Mutex.protect gauge_lock (fun () -> Hashtbl.replace gauge_table name v)
+
+let pull_gauge name read =
+  Mutex.protect gauge_lock (fun () ->
+      readers := (name, read) :: List.remove_assoc name !readers)
 
 let gauges () : (string * float) list =
-  Mutex.lock gauge_lock;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_table [] in
-  Mutex.unlock gauge_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) entries
+  let pushed, readers =
+    Mutex.protect gauge_lock (fun () ->
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_table [], !readers))
+  in
+  let pulled =
+    if enabled () then List.map (fun (name, read) -> (name, read ())) readers
+    else []
+  in
+  List.filter (fun (name, _) -> not (List.mem_assoc name pulled)) pushed
+  @ pulled
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let gauge name = List.assoc_opt name (gauges ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -26,8 +26,8 @@ val enabled : unit -> bool
 (** Whether probes currently record. *)
 
 val reset : unit -> unit
-(** Drop all recorded spans and counters. Call between parallel
-    regions only. *)
+(** Drop all recorded spans, counters and pushed gauge levels (not the
+    {!pull_gauge} readers). Call between parallel regions only. *)
 
 val reset_spans : unit -> unit
 (** Drop recorded spans only, keeping counters and gauges. A
@@ -93,9 +93,20 @@ val counters : unit -> (string * int) list
 val set_gauge : string -> float -> unit
 (** Record the current level of a named gauge (last write wins). *)
 
+val pull_gauge : string -> (unit -> float) -> unit
+(** [pull_gauge name read] makes [name] a pulled gauge: {!gauges} and
+    {!gauge} call [read] at snapshot time, only while probes are
+    enabled, so the level is never stale and costs nothing between
+    snapshots. For a level that many sites change (the store's resident
+    bytes), where pushing would mean a write at each of them. {!reset}
+    keeps the reader; registering [name] again replaces it. [read] is
+    called without any probe lock held. *)
+
 val gauge : string -> float option
 (** Current value of a gauge, or [None] if it was never set (or probes
-    were disabled at every write). *)
+    were disabled at every write; for a pulled gauge, if probes are
+    disabled now). *)
 
 val gauges : unit -> (string * float) list
-(** All gauges with at least one write, sorted by name. *)
+(** All pushed gauges with at least one write and, while probes are
+    enabled, every pulled gauge, sorted by name. *)

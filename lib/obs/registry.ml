@@ -74,7 +74,9 @@ let entries : entry list =
     exact "incr.snapshot" Counter "store snapshots persisted to disk";
     exact "incr.bypass" Counter
       "lookups bypassed because deadline pressure disabled the store";
-    exact "incr.bytes" Gauge "current resident bytes of the incremental store";
+    exact "incr.bytes" Gauge
+      "current resident bytes of the incremental store, read at snapshot \
+       time";
     exact "incr.restored" Gauge
       "entries restored from the persisted store at the last open";
     exact "incr.analyze.ns" Hist

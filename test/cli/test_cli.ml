@@ -1,9 +1,12 @@
-(* The file commands' typed fault: bad source, a run-time error, runaway
-   recursion and a malformed saved profile each print one
+(* No command exits with cmdliner's crash code 125. The file commands'
+   typed fault: bad source, a run-time error, runaway recursion, an
+   unknown [--function] and a malformed saved profile each print one
    "FILE:LINE:COL: message" line (a fault with no source position:
    "FILE: message") and exit with the degraded code 3 that [record]
-   uses, never cmdliner's crash code 125. The working directory is the
-   build root, which holds bin/main.exe. *)
+   uses. An unknown experiment or workload class is a usage error
+   (cmdliner's 124, listing the valid values), and a path unusable at
+   startup prints "PATH: message" and exits 2. The working directory is
+   the build root, which holds bin/main.exe. *)
 
 let exe = "bin/main.exe"
 
@@ -61,6 +64,57 @@ let test_bad_profile () =
   Alcotest.(check int) "exit code" 3 code;
   Alcotest.(check string) "message" (prof ^ ": not a profile-v1 file\n") err
 
+let test_unknown_function () =
+  let src = temp_file ".c" "int main(void) { return 0; }\n" in
+  List.iter
+    (fun cmd ->
+      let code, err = spawn [ cmd; src; "--function"; "nosuch" ] in
+      Alcotest.(check int) (cmd ^ ": exit code") 3 code;
+      Alcotest.(check string) (cmd ^ ": message")
+        (src ^ ": no such function nosuch\n") err)
+    [ "cfg"; "estimate" ];
+  Sys.remove src
+
+(* Cmdliner wraps its message to the terminal; compare it with the
+   whitespace collapsed. *)
+let squeeze s =
+  String.split_on_char '\n' s
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
+let test_unknown_values () =
+  List.iter
+    (fun (args, expect) ->
+      let code, err = spawn args in
+      let name = String.concat " " args in
+      Alcotest.(check int) (name ^ ": exit code") 124 code;
+      let err = squeeze err in
+      Alcotest.(check string) (name ^ ": message") expect
+        (String.sub err 0 (min (String.length err) (String.length expect))))
+    [ ( [ "experiment"; "nosuch" ],
+        "estimator: ID argument: invalid value 'nosuch', expected one of \
+         'all', 'table1', 'table2', 'fig2'," );
+      ( [ "corpus"; "--classes"; "loop_nest,nosuch" ],
+        "estimator: option '--classes': invalid element in list \
+         ('loop_nest,nosuch'): invalid value 'nosuch', expected one of \
+         'loop_nest', 'branchy', 'pointer_table' or 'recursive'" ) ]
+
+let test_startup_paths () =
+  List.iter
+    (fun (args, path) ->
+      let code, err = spawn args in
+      let name = String.concat " " args in
+      Alcotest.(check int) (name ^ ": exit code") 2 code;
+      Alcotest.(check string) (name ^ ": message")
+        (path ^ ": No such file or directory\n") err)
+    [ ([ "record"; "-o"; "/nonexistent/x.json" ], "/nonexistent/x.json");
+      ([ "corpus"; "-o"; "/nonexistent/x.json" ], "/nonexistent/x.json");
+      ([ "serve"; "--store"; "/nonexistent/a/b" ], "/nonexistent/a/b");
+      ( [ "serve"; "--socket"; "/nonexistent/dir/sock" ],
+        "/nonexistent/dir/sock" );
+      ([ "serve"; "--connect"; "/missing.sock" ], "/missing.sock") ]
+
 let test_healthy () =
   let src =
     temp_file ".c" "int main(void) { printf(\"hi\\n\"); return 7; }\n"
@@ -77,4 +131,9 @@ let () =
         [ Alcotest.test_case "front-end faults" `Quick test_front_end;
           Alcotest.test_case "run-time faults" `Quick test_run_time;
           Alcotest.test_case "malformed saved profile" `Quick test_bad_profile;
-          Alcotest.test_case "healthy run" `Quick test_healthy ] ) ]
+          Alcotest.test_case "unknown function" `Quick test_unknown_function;
+          Alcotest.test_case "healthy run" `Quick test_healthy ] );
+      ( "arguments",
+        [ Alcotest.test_case "unknown values" `Quick test_unknown_values;
+          Alcotest.test_case "unusable startup paths" `Quick
+            test_startup_paths ] ) ]

@@ -361,7 +361,7 @@ let test_overload_shed_shape () =
       (bool_field "overloaded" r)
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
 
-(* --- telemetry: metrics verb, slow log, gauge re-publish -------------- *)
+(* --- telemetry: metrics verb, slow log, pulled store gauge ------------ *)
 
 module Hist = Obs.Hist
 module Probe = Obs.Probe
@@ -471,10 +471,10 @@ let test_slow_log () =
 (* The pinned regression for stale store gauges: a probe-table reset
    mid-life (exactly what the sharded daemon's per-batch housekeeping
    used to do) dropped [incr.bytes] until the next cache write, so
-   [metrics] under-reported the store. The serve loop now re-publishes
-   after every batch: the first post-reset snapshot may miss the gauge,
-   the next one must have it back at full value. *)
-let test_gauge_republish_after_reset () =
+   [metrics] under-reported the store. The gauge is now pulled from the
+   store at snapshot time: the reset cannot drop it, and the first
+   snapshot after it, in the same batch, reads it at full value. *)
+let test_gauge_survives_reset () =
   Incr.clear ();
   Incr.reset_stats ();
   Parallel.set_jobs 1;
@@ -482,36 +482,28 @@ let test_gauge_republish_after_reset () =
   let before =
     match Probe.gauge "incr.bytes" with
     | Some v when v > 0.0 -> v
-    | _ -> Alcotest.fail "analyze did not publish the store gauge"
+    | _ -> Alcotest.fail "analyze did not fill the store gauge"
   in
   Probe.reset ();
-  Alcotest.(check bool) "the reset dropped the gauge" true
-    (Probe.gauge "incr.bytes" = None);
-  let metrics id = req [ ("id", Json.Num (float_of_int id)); ("op", Json.Str "metrics") ] in
+  Alcotest.(check (option (float 0.0))) "the reset keeps the gauge"
+    (Some before) (Probe.gauge "incr.bytes");
   let responses =
     run_session_dirty
-      [ metrics 1; ""; metrics 2; "";
-        req [ ("id", Json.Num 3.); ("op", Json.Str "shutdown") ] ]
+      [ req [ ("id", Json.Num 1.); ("op", Json.Str "metrics") ]; "";
+        req [ ("id", Json.Num 2.); ("op", Json.Str "shutdown") ] ]
   in
   match responses with
-  | [ m1; m2; _ ] ->
-    let bytes m =
-      Option.bind (Json.member "gauges" m) (Json.member "incr.bytes")
-    in
-    Alcotest.(check bool)
-      "same-batch snapshot still misses the gauge (reset precedes it)"
-      true
-      (bytes m1 = None);
-    (match bytes m2 with
+  | [ m; _ ] ->
+    (match
+       Option.bind (Json.member "gauges" m) (Json.member "incr.bytes")
+     with
     | Some g ->
       Alcotest.(check (float 0.0))
-        "next batch sees the re-published gauge at full value" before
+        "the same batch's snapshot reads the gauge at full value" before
         (num_field "value" g)
     | None ->
-      Alcotest.fail
-        "gauge still missing one batch later: the per-batch re-publish \
-         is gone")
-  | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
+      Alcotest.fail "gauge missing from the first snapshot after a reset")
+  | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs)
 
 let suite =
   [ Alcotest.test_case "warm analyze: program hit, identical scores"
@@ -537,4 +529,4 @@ let suite =
     Alcotest.test_case "slow log: ring + NDJSON sink carry span trees"
       `Quick (with_probes test_slow_log);
     Alcotest.test_case "store gauge survives a probe reset (regression)"
-      `Quick (with_probes test_gauge_republish_after_reset) ]
+      `Quick (with_probes test_gauge_survives_reset) ]

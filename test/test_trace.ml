@@ -236,6 +236,113 @@ let test_with_reporting_on_failure () =
   Alcotest.(check bool) "root run span present" true
     (contains contents {|"path": "run"|})
 
+(* --- one span-tree builder --------------------------------------------- *)
+
+module Reqtrace = Driver.Reqtrace
+
+(* Every reader of the span dump goes through [Reqtrace]'s one builder:
+   the slow log's subtree, the [--metrics-out] paths and the run
+   record's timings all agree with the forest. The fan-out runs on four
+   domains, so the kids of the merged "experiment.task" siblings
+   interleave across domains. *)
+let test_one_builder () =
+  with_recording (fun () ->
+      Parallel.set_jobs 4;
+      Fun.protect
+        ~finally:(fun () -> Parallel.set_jobs 1)
+        (fun () ->
+          let (), root =
+            Probe.with_span "run" (fun () ->
+                Reqtrace.with_root (fun () ->
+                    ignore
+                      (Parallel.map
+                         (fun i ->
+                           Probe.with_span "experiment.task" (fun () ->
+                               for _ = 0 to i mod 3 do
+                                 Probe.with_span "inner" (fun () ->
+                                     Probe.with_span "leaf" ignore)
+                               done))
+                         (List.init 12 Fun.id))))
+          in
+          let spans = Probe.spans () in
+          let forest = Reqtrace.forest spans in
+          (match forest with
+          | [ { Reqtrace.t_label = "run"; t_kids = [ request ]; _ } ] ->
+            Alcotest.(check bool) "tree_of_root is the forest's request node"
+              true
+              (Reqtrace.tree_of_root root spans = Some request)
+          | _ -> Alcotest.fail "expected one run root over one request");
+          let rec paths prefix (ts : Reqtrace.tree list) =
+            List.concat_map
+              (fun (t : Reqtrace.tree) ->
+                let path = prefix ^ t.t_label in
+                (path, t.t_count) :: paths (path ^ "/") t.t_kids)
+              ts
+          in
+          let doc = Json.parse_exn (Trace.metrics_json ()) in
+          let rows =
+            match Json.member "spans" doc with
+            | Some (Json.Arr rows) ->
+              List.map
+                (fun row ->
+                  match
+                    ( Option.bind (Json.member "path" row) Json.to_str,
+                      Option.bind (Json.member "count" row) Json.to_num )
+                  with
+                  | Some path, Some count -> (path, int_of_float count)
+                  | _ -> Alcotest.fail "span row without path or count")
+                rows
+            | _ -> Alcotest.fail "no spans array"
+          in
+          Alcotest.(check (list (pair string int)))
+            "metrics_json paths and counts are the forest's"
+            (List.sort compare (paths "" forest)) rows;
+          Alcotest.(check (list (pair string int)))
+            "the inner spans merged across domains"
+            [ ("run/request/experiment.task/inner", 24) ]
+            (List.filter
+               (fun (p, _) -> p = "run/request/experiment.task/inner")
+               rows);
+          let kept label =
+            label = "run" || String.starts_with ~prefix:"experiment." label
+          in
+          let direct =
+            List.filter_map
+              (fun (s : Probe.span) ->
+                if kept s.Probe.label then Some s.Probe.label else None)
+              spans
+            |> List.sort compare
+            |> List.fold_left
+                 (fun acc label ->
+                   match acc with
+                   | (l, n) :: rest when l = label -> (l, n + 1) :: rest
+                   | _ -> (label, 1) :: acc)
+                 []
+            |> List.rev
+          in
+          Alcotest.(check (list (pair string int)))
+            "timing_summary counts the kept labels of the dump" direct
+            (List.map
+               (fun (t : Driver.Run_record.timing) ->
+                 (t.Driver.Run_record.t_label, t.Driver.Run_record.t_count))
+               (Driver.Run_record.timing_summary ()))))
+
+(* A pulled gauge is read at snapshot time: absent while probes are
+   off, and kept across [Probe.reset]. The store pulls [incr.bytes]. *)
+let test_pulled_gauge () =
+  Probe.reset ();
+  Probe.set_enabled false;
+  Alcotest.(check bool) "absent while probes are disabled" true
+    (Probe.gauge "incr.bytes" = None
+    && not (List.mem_assoc "incr.bytes" (Probe.gauges ())));
+  with_recording (fun () ->
+      let bytes = float_of_int (Driver.Incr.stats ()).Driver.Incr.st_bytes in
+      Alcotest.(check (option (float 0.0))) "read while enabled" (Some bytes)
+        (Probe.gauge "incr.bytes");
+      Probe.reset ();
+      Alcotest.(check (option (float 0.0))) "kept across a reset" (Some bytes)
+        (List.assoc_opt "incr.bytes" (Probe.gauges ())))
+
 let suite =
   [ Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span closes on exception" `Quick
@@ -253,4 +360,6 @@ let suite =
     Alcotest.test_case "metrics json matches the metrics verb" `Quick
       test_metrics_json_matches_verb;
     Alcotest.test_case "reporting survives failure" `Quick
-      test_with_reporting_on_failure ]
+      test_with_reporting_on_failure;
+    Alcotest.test_case "one span-tree builder" `Quick test_one_builder;
+    Alcotest.test_case "pulled gauge" `Quick test_pulled_gauge ]
